@@ -5,9 +5,10 @@
 // rates, reporting delivered throughput and latency percentiles per
 // offered load -- the standard interconnect-evaluation methodology the
 // paper itself stops short of (it evaluates one-shot permutation traffic
-// only). The sweeps run on the event engine; the step engine would spend
-// O(nodes * degree) per step on the long sparse tails these curves
-// produce, which is exactly the regime the calendar-queue core removes.
+// only). The simulator visits only links with queued or in-flight work
+// and skips empty steps; the full-scan reference loop (tests/) would
+// spend O(nodes * degree) per step on the long sparse tails these curves
+// produce, and the work ratio column reports that difference.
 //
 // E27 extends E23 past the scalar-setup wall: route setup dedupes the
 // trace to distinct relative labels (Cayley symmetry) and batch-routes
@@ -20,22 +21,24 @@
 //   (default)    human-readable E23/E27 table + google-benchmark timings
 //   --json       machine-readable one-object JSON on stdout: the full
 //                curve sweep with per-point throughput/latency/occupancy,
-//                dedup factor, and the step-vs-event engine work ratio
+//                dedup factor, and the full-scan-vs-engine work ratio
 //                (committed as BENCH_traffic.json in the repo root; fully
 //                deterministic, no wall times)
 //   --maxk <k>   largest star dimension swept, in [4, 8] (default 6; the
 //                committed JSON is generated with --maxk 8)
-//   --smoke      bounded checks: engine identity through the driver on
-//                every model (open and closed loop), batched == legacy
-//                setup result identity, >= 5x batched-setup speedup over
-//                the old pair-keyed serial loop at k = 6, closed-loop
-//                thread-count invariance, >= 2x step/event work ratio on
-//                the sparse-tail regime, wall-clock event <= step on
-//                sparse traffic (min-of-7), and --json determinism;
-//                non-zero exit on any failure. Wired into ctest under
-//                perf-smoke.
+//   --smoke      bounded checks: driver == reference-loop replay on every
+//                model (open and closed loop), batched == legacy setup
+//                result identity, >= 5x batched-setup speedup over the
+//                old pair-keyed serial loop at k = 6, closed-loop
+//                thread-count invariance, >= 2x full-scan/engine work
+//                ratio on the sparse-tail regime, wall-clock engine <=
+//                reference loop on sparse and dense traffic (min-of-7),
+//                and --json determinism; non-zero exit on any failure.
+//                Wired into ctest under perf-smoke.
 //
 //===----------------------------------------------------------------------===//
+
+#include "ReferenceSimulator.h"
 
 #include "comm/Workload.h"
 #include "emulation/ScgRouter.h"
@@ -134,34 +137,24 @@ WorkloadSpec uniformAt(double Rate) {
   return Spec;
 }
 
-/// The step engine's analytic per-run work (see runImpl): every step scans
-/// all queues and in-flight slots plus the selection sweep. Computing it
-/// from the event run's step count avoids re-simulating (results are
-/// engine-identical, pinned by EventCoreDifferentialTest).
-uint64_t stepEngineWork(const ExplicitScg &Net, CommModel Model,
-                        uint64_t Steps) {
-  uint64_t QCount = uint64_t(Net.numNodes()) * Net.degree();
-  return Steps * (2 * QCount + (Model == CommModel::AllPort
-                                    ? QCount
-                                    : uint64_t(Net.numNodes())));
-}
-
 struct CurvePoint {
   TrafficLoadResult R;
-  double WorkRatio; ///< step-engine work / event-engine work.
+  /// The full-scan loop's analytic slot count over the run's steps
+  /// (fullScanWork) divided by the engine's TouchedWork.
+  double WorkRatio;
 };
 
 CurvePoint runPoint(const ExplicitScg &Net, const CurveSpec &Spec,
                     double Rate) {
-  TrafficLoadOptions Options; // event engine, serial shards: the committed
-                              // numbers are thread-count-independent.
+  TrafficLoadOptions Options; // the committed numbers are
+                              // thread-count-independent.
   Options.ClosedLoopMaxQueue = Spec.ClosedLoopMaxQueue;
   CurvePoint P;
   P.R = simulateTrafficLoad(Net, Spec.Model, uniformAt(Rate), Spec.Steps,
                             Options);
-  uint64_t StepWork = stepEngineWork(Net, Spec.Model, P.R.Sim.Steps);
+  uint64_t ScanWork = fullScanWork(Net, Spec.Model, P.R.Sim.Steps);
   P.WorkRatio = P.R.Sim.TouchedWork
-                    ? double(StepWork) / double(P.R.Sim.TouchedWork)
+                    ? double(ScanWork) / double(P.R.Sim.TouchedWork)
                     : 0.0;
   return P;
 }
@@ -216,7 +209,7 @@ std::string jsonReport(unsigned MaxK) {
 
 void printCurves(unsigned MaxK) {
   std::printf("E23/E27: saturation curves under uniform random traffic "
-              "(event engine, batched label-deduped setup)\n\n");
+              "(batched label-deduped setup)\n\n");
   TextTable Table;
   Table.setHeader({"network", "model", "loop", "offered", "delivered",
                    "mean lat", "p99 lat", "mean queued", "dedup",
@@ -242,7 +235,7 @@ void printCurves(unsigned MaxK) {
               "mean queued at the depth limit by deferring injections; "
               "dedup is offered messages per distinct relative label "
               "(the route computations batched setup saves); work ratio is "
-              "the step-engine slot scans the event engine skipped.\n\n");
+              "the full-scan slot count over the engine's touched work.\n\n");
 }
 
 //===----------------------------------------------------------------------===//
@@ -262,18 +255,14 @@ bool sameResult(const SimulationResult &A, const SimulationResult &B) {
 }
 
 /// Full driver-result identity: every field except SetupSeconds (wall
-/// clock, the one field outside the determinism contract). MeanQueued is
-/// averaged "over active steps", which the event engine defines as its
-/// processed steps -- identical within an engine at any thread count but
-/// not across engines, so cross-engine checks pass SameEngine = false.
-bool sameLoad(const TrafficLoadResult &A, const TrafficLoadResult &B,
-              bool SameEngine = true) {
+/// clock, the one field outside the determinism contract) and TouchedWork
+/// (the implementation's own work count).
+bool sameLoad(const TrafficLoadResult &A, const TrafficLoadResult &B) {
   return sameResult(A.Sim, B.Sim) && A.Offered == B.Offered &&
          A.OfferedRate == B.OfferedRate &&
          A.DeliveredRate == B.DeliveredRate && A.MeanHops == B.MeanHops &&
          A.MeanLatency == B.MeanLatency && A.P50Latency == B.P50Latency &&
-         A.P99Latency == B.P99Latency &&
-         (!SameEngine || A.MeanQueued == B.MeanQueued) &&
+         A.P99Latency == B.P99Latency && A.MeanQueued == B.MeanQueued &&
          A.DistinctLabels == B.DistinctLabels &&
          A.DedupFactor == B.DedupFactor;
 }
@@ -307,10 +296,9 @@ double legacyPairSetupMs(const ExplicitScg &Net,
 
 /// Sparse-tail wall-clock workload: a handful of packets staggered over a
 /// long horizon on star(6) -- 4320 queues, almost all idle at any step.
-/// Returns milliseconds for one run under \p Engine.
-double timedSparseMs(const ExplicitScg &Net, SimEngine Engine) {
-  NetworkSimulator Sim(Net, CommModel::SinglePort);
-  Sim.setEngine(Engine);
+/// Returns milliseconds for one run on simulator type SimT.
+template <typename SimT> double timedSparseMs(const ExplicitScg &Net) {
+  SimT Sim(Net, CommModel::SinglePort);
   SplitMix64 Rng(9);
   for (unsigned P = 0; P != 50; ++P) {
     std::vector<GenIndex> Route;
@@ -327,6 +315,24 @@ double timedSparseMs(const ExplicitScg &Net, SimEngine Engine) {
   return Ms;
 }
 
+/// Dense wall-clock workload: star(6) all-port under uniform offered load
+/// 0.4 for 40 steps (~11.5k lifted-route messages), past saturation.
+/// Returns milliseconds for one run on simulator type SimT.
+template <typename SimT>
+double timedDenseMs(const ExplicitScg &Net,
+                    const std::vector<TrafficEvent> &Trace,
+                    const std::vector<std::vector<GenIndex>> &Routes) {
+  SimT Sim(Net, CommModel::AllPort);
+  for (size_t I = 0; I != Trace.size(); ++I)
+    Sim.scheduleInjection(Trace[I].Step, Trace[I].Src, Routes[I]);
+  auto Start = Clock::now();
+  SimulationResult R = Sim.run(/*MaxSteps=*/40);
+  double Ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - Start).count();
+  benchmark::DoNotOptimize(R);
+  return Ms;
+}
+
 int runSmoke(bool Json, unsigned MaxK) {
   int Failures = 0;
   auto Check = [&](const char *Name, bool Ok) {
@@ -334,26 +340,23 @@ int runSmoke(bool Json, unsigned MaxK) {
     Failures += !Ok;
   };
 
-  // Engine identity through the driver, every model, open and closed loop.
+  // The driver against a replay of the same trace on the full-scan
+  // reference loop, every model, open and closed loop.
   for (uint64_t MaxQueue : {uint64_t(0), ClosedLoopLimit}) {
     for (CommModel Model :
          {CommModel::AllPort, CommModel::SinglePort,
           CommModel::SingleDimension}) {
       ExplicitScg Net(SuperCayleyGraph::star(4));
-      TrafficLoadOptions StepOpts;
-      StepOpts.Engine = SimEngine::Step;
-      StepOpts.ClosedLoopMaxQueue = MaxQueue;
-      TrafficLoadOptions EventOpts;
-      EventOpts.Engine = SimEngine::Event;
-      EventOpts.ClosedLoopMaxQueue = MaxQueue;
+      TrafficLoadOptions Opts;
+      Opts.ClosedLoopMaxQueue = MaxQueue;
       TrafficLoadResult A =
-          simulateTrafficLoad(Net, Model, uniformAt(0.1), 300, StepOpts);
+          simulateTrafficLoad(Net, Model, uniformAt(0.1), 300, Opts);
       TrafficLoadResult B =
-          simulateTrafficLoad(Net, Model, uniformAt(0.1), 300, EventOpts);
+          referenceTrafficLoad(Net, Model, uniformAt(0.1), 300, MaxQueue);
       char Name[64];
-      std::snprintf(Name, sizeof(Name), "%s %s event == step via driver",
+      std::snprintf(Name, sizeof(Name), "%s %s engine == reference loop",
                     modelName(Model), MaxQueue ? "closed" : "open");
-      Check(Name, sameLoad(A, B, /*SameEngine=*/false));
+      Check(Name, sameLoad(A, B));
     }
   }
 
@@ -401,13 +404,11 @@ int runSmoke(bool Json, unsigned MaxK) {
   }
 
   // Closed-loop results are thread-count invariant: 1 thread vs 2 threads
-  // (sharded event core + batched parallel setup) must agree on every
-  // deterministic field.
+  // (batched parallel setup) must agree on every deterministic field.
   {
     ExplicitScg Net(SuperCayleyGraph::star(5));
     TrafficLoadOptions Opts;
     Opts.ClosedLoopMaxQueue = ClosedLoopLimit;
-    Opts.Shards = 2;
     setGlobalThreadCount(1);
     TrafficLoadResult A =
         simulateTrafficLoad(Net, CommModel::SinglePort, uniformAt(0.4), 200,
@@ -420,9 +421,9 @@ int runSmoke(bool Json, unsigned MaxK) {
     Check("closed loop 1-thread == 2-thread", sameLoad(A, B));
   }
 
-  // The sparse-tail work claim of the acceptance criteria: on a low-rate
-  // sweep point the step engine scans >= 2x the slots the event engine
-  // touches (in practice far more; 2x is the floor the JSON must show).
+  // The sparse-tail work claim: on a low-rate sweep point the full-scan
+  // loop touches >= 2x the slots the engine does (in practice far more;
+  // 2x is the floor the JSON must show).
   {
     ExplicitScg Net(SuperCayleyGraph::star(5));
     CurveSpec Spec{SuperCayleyGraph::star(5), CommModel::SinglePort,
@@ -433,20 +434,42 @@ int runSmoke(bool Json, unsigned MaxK) {
     Failures += P.WorkRatio < 2.0;
   }
 
-  // Wall-clock: the event core must not be slower than the step core on
-  // sparse traffic (min-of-7 to shed scheduler noise, small absolute
-  // allowance for timer granularity).
+  // Wall-clock: the engine must not be slower than the reference loop,
+  // on sparse traffic and at a dense point (min-of-7 to shed scheduler
+  // noise, small absolute allowance for timer granularity).
   {
     ExplicitScg Net(SuperCayleyGraph::star(6));
-    double Step = 1e100, Event = 1e100;
+    double Ref = 1e100, Engine = 1e100;
     for (int I = 0; I != 7; ++I) {
-      Step = std::min(Step, timedSparseMs(Net, SimEngine::Step));
-      Event = std::min(Event, timedSparseMs(Net, SimEngine::Event));
+      Ref = std::min(Ref, timedSparseMs<ReferenceSimulator>(Net));
+      Engine = std::min(Engine, timedSparseMs<NetworkSimulator>(Net));
     }
-    bool Ok = Event <= Step * 1.02 + 0.05;
-    std::printf("%-44s %s  (step %.3f ms, event %.3f ms)\n",
-                "event <= step wall-clock on sparse traffic",
-                Ok ? "ok" : "FAIL", Step, Event);
+    bool Ok = Engine <= Ref * 1.02 + 0.05;
+    std::printf("%-44s %s  (reference %.3f ms, engine %.3f ms)\n",
+                "engine <= reference loop on sparse traffic",
+                Ok ? "ok" : "FAIL", Ref, Engine);
+    Failures += !Ok;
+
+    std::vector<TrafficEvent> Trace =
+        WorkloadGenerator(Net, uniformAt(0.4)).generate(40);
+    std::vector<std::vector<GenIndex>> Routes;
+    for (const TrafficEvent &E : Trace)
+      Routes.push_back(E.Src == E.Dst
+                           ? std::vector<GenIndex>()
+                           : routeViaStarEmulation(Net.network(),
+                                                   Net.label(E.Src),
+                                                   Net.label(E.Dst))
+                                 .hops());
+    Ref = Engine = 1e100;
+    for (int I = 0; I != 7; ++I) {
+      Ref = std::min(Ref, timedDenseMs<ReferenceSimulator>(Net, Trace, Routes));
+      Engine =
+          std::min(Engine, timedDenseMs<NetworkSimulator>(Net, Trace, Routes));
+    }
+    Ok = Engine <= Ref * 1.02 + 0.05;
+    std::printf("%-44s %s  (reference %.3f ms, engine %.3f ms)\n",
+                "engine <= reference loop on dense traffic",
+                Ok ? "ok" : "FAIL", Ref, Engine);
     Failures += !Ok;
   }
 
@@ -465,21 +488,21 @@ int runSmoke(bool Json, unsigned MaxK) {
 // google-benchmark timings
 //===----------------------------------------------------------------------===//
 
-void BM_SparseTrafficStepEngine(benchmark::State &State) {
+void BM_SparseTrafficReferenceLoop(benchmark::State &State) {
   ExplicitScg Net(SuperCayleyGraph::star(6));
   for (auto _ : State)
-    benchmark::DoNotOptimize(timedSparseMs(Net, SimEngine::Step));
+    benchmark::DoNotOptimize(timedSparseMs<ReferenceSimulator>(Net));
 }
-BENCHMARK(BM_SparseTrafficStepEngine)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SparseTrafficReferenceLoop)->Unit(benchmark::kMillisecond);
 
-void BM_SparseTrafficEventEngine(benchmark::State &State) {
+void BM_SparseTrafficEngine(benchmark::State &State) {
   ExplicitScg Net(SuperCayleyGraph::star(6));
   for (auto _ : State)
-    benchmark::DoNotOptimize(timedSparseMs(Net, SimEngine::Event));
+    benchmark::DoNotOptimize(timedSparseMs<NetworkSimulator>(Net));
 }
-BENCHMARK(BM_SparseTrafficEventEngine)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SparseTrafficEngine)->Unit(benchmark::kMillisecond);
 
-void BM_SaturatedLoadEventEngine(benchmark::State &State) {
+void BM_SaturatedLoadDriver(benchmark::State &State) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
   for (auto _ : State) {
     TrafficLoadResult R = simulateTrafficLoad(
@@ -487,7 +510,7 @@ void BM_SaturatedLoadEventEngine(benchmark::State &State) {
     benchmark::DoNotOptimize(R);
   }
 }
-BENCHMARK(BM_SaturatedLoadEventEngine)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SaturatedLoadDriver)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

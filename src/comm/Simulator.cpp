@@ -1,21 +1,23 @@
-//===- comm/Simulator.cpp - Packet-level simulator (step + event) --------===//
+//===- comm/Simulator.cpp - Packet-level network simulator ----------------===//
 //
-// Two engines, one semantics. The step engine is the original globally
-// synchronous loop. The event engine reproduces its results exactly while
-// touching only scheduled work; the correspondence argument is spelled out
-// inline at each point where the engines could diverge (queue sampling,
-// multi-flit occupancy accounting, the MaxSteps cap, stalled traffic).
+// One globally synchronous engine on flat per-link FIFOs. A step runs the
+// phases of the original full-scan loop (kept in tests/ as the reference)
+// in the same order -- injections, occupancy sample, in-flight arrivals,
+// selection, re-enqueue -- but each phase visits only the links that have
+// work, found by scanning bitmaps word by word in ascending link id. Link
+// order is all the full scan's results depend on, so they are unchanged.
 //
 //===----------------------------------------------------------------------===//
 
 #include "comm/Simulator.h"
 
 #include "comm/SimObserver.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <queue>
+#include <deque>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -44,18 +46,33 @@ std::string scg::simEngineName(SimEngine Engine) {
 }
 
 NetworkSimulator::NetworkSimulator(const ExplicitScg &Net, CommModel Model)
-    : Net(Net), Model(Model),
-      Queues(size_t(Net.numNodes()) * Net.degree()),
-      Busy(size_t(Net.numNodes()) * Net.degree()),
-      PortPointer(Net.numNodes(), 0), NodeBusyUntil(Net.numNodes(), 0) {
+    : Net(Net), Model(Model) {
   for (GenIndex G = 0; G != Net.degree(); ++G)
     DimensionCycle.push_back(G);
 }
 
+void NetworkSimulator::checkSource(NodeId Src, unsigned FlitCount) const {
+  if (Src >= Net.numNodes())
+    throw std::invalid_argument("source node " + std::to_string(Src) +
+                                " is not below the node count " +
+                                std::to_string(Net.numNodes()));
+  if (FlitCount == 0)
+    throw std::invalid_argument("a message carries at least one flit");
+}
+
+void NetworkSimulator::checkRoute(std::span<const GenIndex> Route) const {
+  for (GenIndex G : Route)
+    if (G >= Net.degree())
+      throw std::invalid_argument("route hop g" + std::to_string(G) +
+                                  " is not below the degree " +
+                                  std::to_string(Net.degree()));
+}
+
 std::pair<uint32_t, uint32_t>
 NetworkSimulator::appendRoute(std::span<const GenIndex> Route) {
-  assert(RoutePool.size() + Route.size() <= ~uint32_t(0) &&
-         "route pool exceeds 32-bit indexing");
+  checkRoute(Route);
+  if (RoutePool.size() + Route.size() > ~uint32_t(0))
+    throw std::length_error("route pool exceeds 32-bit indexing");
   uint32_t Begin = uint32_t(RoutePool.size());
   RoutePool.insert(RoutePool.end(), Route.begin(), Route.end());
   return {Begin, uint32_t(Route.size())};
@@ -63,114 +80,203 @@ NetworkSimulator::appendRoute(std::span<const GenIndex> Route) {
 
 void NetworkSimulator::injectPacket(NodeId Src, std::vector<GenIndex> Route,
                                     unsigned FlitCount) {
-  assert(Src < Net.numNodes() && "source out of range");
-  assert(FlitCount >= 1 && "a message carries at least one flit");
+  checkSource(Src, FlitCount);
   auto [Begin, Len] = appendRoute(Route);
+  PreRun.push_back(uint32_t(Packets.size()));
   Packets.push_back({Src, 0, FlitCount, Begin, Len});
-  uint32_t Id = Packets.size() - 1;
-  if (Len == 0) {
-    // Already at its destination: delivered traffic, even though there is
-    // nothing to simulate.
-    ++DeliveredAtInject;
-    return;
-  }
-  Queues[queueIndex(Src, RoutePool[Begin])].push_back(Id);
-  ++Pending;
 }
 
 uint32_t NetworkSimulator::scheduleInjection(uint64_t Step, NodeId Src,
                                              std::vector<GenIndex> Route,
                                              unsigned FlitCount) {
-  assert(Src < Net.numNodes() && "source out of range");
-  assert(FlitCount >= 1 && "a message carries at least one flit");
+  checkSource(Src, FlitCount);
   auto [Begin, Len] = appendRoute(Route);
+  uint32_t Id = uint32_t(Packets.size());
   Packets.push_back({Src, 0, FlitCount, Begin, Len});
-  uint32_t Id = Packets.size() - 1;
   Injections.push_back({Step, Id});
   return Id;
 }
 
 uint32_t NetworkSimulator::addSharedRoute(std::span<const GenIndex> Route) {
-  auto [Begin, Len] = appendRoute(Route);
-  SharedRoutes.push_back({Begin, Len});
+  SharedRoutes.push_back(appendRoute(Route));
   return uint32_t(SharedRoutes.size() - 1);
 }
 
 uint32_t NetworkSimulator::scheduleInjectionShared(uint64_t Step, NodeId Src,
                                                    uint32_t RouteHandle,
                                                    unsigned FlitCount) {
-  assert(Src < Net.numNodes() && "source out of range");
-  assert(FlitCount >= 1 && "a message carries at least one flit");
-  assert(RouteHandle < SharedRoutes.size() && "unknown shared route");
+  checkSource(Src, FlitCount);
+  if (RouteHandle >= SharedRoutes.size())
+    throw std::invalid_argument("unknown shared route handle " +
+                                std::to_string(RouteHandle));
   auto [Begin, Len] = SharedRoutes[RouteHandle];
+  uint32_t Id = uint32_t(Packets.size());
   Packets.push_back({Src, 0, FlitCount, Begin, Len});
-  uint32_t Id = Packets.size() - 1;
   Injections.push_back({Step, Id});
   return Id;
 }
 
 void NetworkSimulator::setDimensionCycle(std::vector<GenIndex> Cycle) {
-  assert(!Cycle.empty() && "dimension cycle must be nonempty");
+  if (Cycle.empty())
+    throw std::invalid_argument("dimension cycle must be nonempty");
+  checkRoute(Cycle);
   DimensionCycle = std::move(Cycle);
 }
 
 void NetworkSimulator::addObserver(SimObserver *Observer) {
-  assert(Observer && "null observer");
+  if (!Observer)
+    throw std::invalid_argument("null observer");
   Observers.push_back(Observer);
 }
 
-void NetworkSimulator::enqueueOrDeliver(uint32_t Id, SimulationResult &Result,
-                                        std::vector<uint32_t> *DeliveredOut) {
-  Packet &P = Packets[Id];
-  if (P.NextHop == P.RouteLen) {
-    ++Result.Delivered;
-    --Pending;
-    if (DeliveredOut)
-      DeliveredOut->push_back(Id);
-    return;
-  }
-  Queues[queueIndex(P.At, routeHop(P, P.NextHop))].push_back(Id);
-}
-
 SimulationResult NetworkSimulator::run(uint64_t MaxSteps) {
+  if (Ran)
+    throw std::logic_error("a NetworkSimulator runs once");
+  Ran = true;
   // Scheduled injections enter their queues in (step, call order); the sort
   // is stable so same-step packets keep their scheduling order.
   std::stable_sort(Injections.begin(), Injections.end(),
                    [](const TimedInjection &A, const TimedInjection &B) {
                      return A.Step < B.Step;
                    });
-  // One dispatch on entry: the uninstrumented loops contain no observer
+  // One dispatch on entry: the uninstrumented loop contains no observer
   // code at all, so observability is free when no observer is attached.
-  const bool Observed = !Observers.empty() || AlwaysInstrument;
-  if (Engine == SimEngine::Event)
-    return Observed ? runEventImpl<true>(MaxSteps)
-                    : runEventImpl<false>(MaxSteps);
-  // Collection is decided by whether a hook is registered, not by
-  // forceInstrumentation: with no observer there is nothing to collect,
-  // so the forced mode exercises the dispatch and lands on the same
-  // pristine instantiation (which is the zero-overhead claim itself).
-  return Observers.empty() ? runImpl<false>(MaxSteps)
-                           : runImpl<true>(MaxSteps);
+  return Observers.empty() && !AlwaysInstrument ? runImpl<false>(MaxSteps)
+                                                : runImpl<true>(MaxSteps);
 }
 
-//===----------------------------------------------------------------------===//
-// Step engine: the globally synchronous reference loop
-//===----------------------------------------------------------------------===//
+namespace {
 
-template <bool Collect>
+constexpr uint32_t NoPacket = ~uint32_t(0);
+
+/// Calls \p Fn(I) for every set bit I of \p Bits in [Begin, End), in
+/// ascending order, reading each word once and counting it in \p Work.
+/// Each word is copied before its bits are visited, so \p Fn may clear
+/// bits (its own or earlier ones) without disturbing the scan.
+template <typename FnT>
+void forEachSetBit(const std::vector<uint64_t> &Bits, size_t Begin,
+                   size_t End, uint64_t &Work, FnT &&Fn) {
+  if (Begin >= End)
+    return;
+  const size_t First = Begin / 64, Last = (End - 1) / 64;
+  for (size_t I = First; I <= Last; ++I) {
+    ++Work;
+    uint64_t W = Bits[I];
+    if (I == First)
+      W &= ~uint64_t(0) << (Begin % 64);
+    if (I == Last && End % 64)
+      W &= ~uint64_t(0) >> (64 - End % 64);
+    for (; W; W &= W - 1)
+      Fn(I * 64 + size_t(std::countr_zero(W)));
+  }
+}
+
+void setBit(std::vector<uint64_t> &Bits, size_t I) {
+  Bits[I / 64] |= uint64_t(1) << (I % 64);
+}
+
+void clearBit(std::vector<uint64_t> &Bits, size_t I) {
+  Bits[I / 64] &= ~(uint64_t(1) << (I % 64));
+}
+
+} // namespace
+
+template <bool Observed>
 SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   SimulationResult Result;
-  Result.Delivered = DeliveredAtInject;
-  unsigned Degree = Net.degree();
-  std::vector<uint32_t> Moved;
+  const unsigned D = Net.degree();
+  const NodeId N = Net.numNodes();
+  const size_t Links = size_t(N) * D;
+  const NodeId *NextNode = Net.nextTable().data(); ///< by link id.
+  const bool Sdc = Model == CommModel::SingleDimension;
+  // Multi-flit state is only touched when some message needs it.
+  const bool MultiFlit =
+      std::any_of(Packets.begin(), Packets.end(),
+                  [](const Packet &P) { return P.Flits > 1; });
 
-  // Collection is a compile-time parameter: with no observer attached the
-  // dispatch selects the Collect = false instantiation, whose hot loop
-  // contains no observer code at all -- zero-overhead observability is
-  // structural, not a measured budget (the forceInstrumentation benchmark
-  // mode verifies the dispatch itself stays free).
+  // Per-link intrusive FIFOs: packets chain through NextInQueue.
+  struct LinkQueue {
+    uint32_t Head = NoPacket, Tail = NoPacket, Len = 0;
+  };
+  std::vector<LinkQueue> Queue(Links);
+  std::vector<uint32_t> NextInQueue(Packets.size());
+  // Non-empty queues, by bit index: the link id, except under
+  // single-dimension where generator-major order (G * N + node) makes
+  // each step's permitted links one contiguous bit range.
+  std::vector<uint64_t> NonEmpty((Links + 63) / 64, 0);
+  auto BitOf = [&](size_t Q) { return Sdc ? (Q % D) * N + Q / D : Q; };
+  auto LinkOfBit = [&](size_t B) { return Sdc ? (B % N) * D + B / N : B; };
+  // Multi-flit links in flight (by link id): the in-flight message, and
+  // the first step the link may start another transmission.
+  std::vector<uint64_t> InFlight(MultiFlit ? NonEmpty.size() : 0, 0);
+  std::vector<uint32_t> FlightId(MultiFlit ? Links : 0);
+  std::vector<uint64_t> LinkFreeAt(MultiFlit ? Links : 0, 0);
+  uint64_t InFlightCount = 0;
+  // Single-port state: the first step a node's port is free again after a
+  // multi-flit transmission, and the round-robin pointer per node.
+  const bool SinglePort = Model == CommModel::SinglePort;
+  std::vector<uint64_t> NodeBusyUntil(SinglePort && MultiFlit ? N : 0, 0);
+  std::vector<GenIndex> PortPointer(SinglePort ? N : 0, 0);
+  // Closed-loop admission reads per-node queued counts.
+  std::vector<uint32_t> NodeQueued(ClosedLoopMaxQueue ? N : 0, 0);
+  uint64_t TotalQueued = 0;
+  uint64_t Work = 0;
+  // Observed with no observer attached (forceInstrumentation) keeps the
+  // instrumented branches but builds no records: that is the disabled-hook
+  // path the perf-smoke overhead budget measures. In the Observed = false
+  // instantiation Collect folds to false and the branches vanish.
+  const bool Collect = Observed && !Observers.empty();
+
+  /// Appends packet \p Id to queue \p Q; returns the new queue length.
+  auto Push = [&](size_t Q, uint32_t Id) {
+    LinkQueue &L = Queue[Q];
+    if (L.Len == 0) {
+      L.Head = Id;
+      setBit(NonEmpty, BitOf(Q));
+    } else {
+      NextInQueue[L.Tail] = Id;
+    }
+    L.Tail = Id;
+    ++TotalQueued;
+    if (ClosedLoopMaxQueue)
+      ++NodeQueued[Q / D];
+    return uint64_t(++L.Len);
+  };
+  auto Pop = [&](size_t Q) {
+    LinkQueue &L = Queue[Q];
+    uint32_t Id = L.Head;
+    L.Head = NextInQueue[Id]; // stale when the queue empties; never read.
+    if (--L.Len == 0)
+      clearBit(NonEmpty, BitOf(Q));
+    --TotalQueued;
+    if (ClosedLoopMaxQueue)
+      --NodeQueued[Q / D];
+    return Id;
+  };
+  auto QueueOf = [&](const Packet &P) {
+    return size_t(P.At) * D + RoutePool[size_t(P.RouteBegin) + P.NextHop];
+  };
+
+  DeliveryStep.assign(Packets.size(), NotDelivered);
+  uint64_t Pending = 0; ///< admitted packets not yet delivered.
+  // Queue lengths from pushes since the last occupancy sample: the full
+  // scan samples at the start of each step, so a push is counted in
+  // MaxQueueLength iff a later step runs.
+  uint64_t PendingMax = 0;
+  for (uint32_t Id : PreRun) {
+    if (Packets[Id].RouteLen == 0) {
+      // Already at its destination: delivered traffic, even though there
+      // is nothing to simulate.
+      ++Result.Delivered;
+      DeliveryStep[Id] = 0;
+      continue;
+    }
+    PendingMax = std::max(PendingMax, Push(QueueOf(Packets[Id]), Id));
+    ++Pending;
+  }
+
   StepEvents Events;
-  if constexpr (Collect) {
+  if constexpr (Observed) {
     Events.Model = Model;
     for (SimObserver *O : Observers)
       O->onRunBegin(*this);
@@ -181,38 +287,57 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   // only deepen queues within a step, so one failed depth test per node
   // per step is exact, not an approximation.
   std::deque<TimedInjection> Deferred;
-  constexpr uint64_t NeverStep = ~uint64_t(0);
-  std::vector<uint64_t> BlockedAt(ClosedLoopMaxQueue ? Net.numNodes() : 0,
-                                  NeverStep);
-  auto NodeQueueDepth = [&](NodeId U) {
-    size_t Depth = 0;
-    for (GenIndex G = 0; G != Net.degree(); ++G)
-      Depth += Queues[queueIndex(U, G)].size();
-    return Depth;
+  std::vector<uint64_t> BlockedAt(ClosedLoopMaxQueue ? N : 0, ~uint64_t(0));
+  // Packets that completed a hop this step, with the queue of their next
+  // hop (NoQueue once delivered), in the order the full scan moves them.
+  struct Move {
+    uint32_t Id;
+    size_t NextQueue;
   };
-
+  constexpr size_t NoQueue = ~size_t(0);
+  std::vector<Move> Moved;
+  /// Moves packet \p Id across link \p Q and records where it goes next.
+  auto Hop = [&](uint32_t Id, size_t Q) {
+    Packet &P = Packets[Id];
+    P.At = NextNode[Q];
+    ++P.NextHop;
+    Moved.push_back({Id, P.NextHop == P.RouteLen ? NoQueue : QueueOf(P)});
+    ++Result.Transmissions;
+  };
   size_t InjCursor = 0;
+  uint64_t Step = 0;
+
   while ((Pending != 0 || InjCursor != Injections.size() ||
           !Deferred.empty()) &&
-         Result.Steps != MaxSteps) {
-    uint64_t Step = Result.Steps++;
+         Step < MaxSteps) {
+    if (Pending == 0 && Deferred.empty()) {
+      // Nothing queued, in flight or deferred: the steps before the next
+      // injection would move nothing and sample empty queues.
+      Step = std::max(Step, Injections[InjCursor].Step);
+      if (Step >= MaxSteps) {
+        Step = MaxSteps;
+        break;
+      }
+    }
+    Result.MaxQueueLength = std::max(Result.MaxQueueLength, PendingMax);
+    PendingMax = 0;
     Moved.clear();
-    if constexpr (Collect) {
+    if (Collect) {
       Events.clear();
       Events.Step = Step;
     }
 
     // Scheduled injections enter their queues at the start of their step,
-    // before the occupancy sample, so they are visible exactly like pre-run
-    // injections are at step 0. Zero-hop injections deliver on the spot.
-    // Under closed loop an injection whose source node is at the queue
-    // depth limit is deferred instead; deferred injections retry first
-    // (they were scheduled earliest), in FIFO order.
+    // before the occupancy sample. Zero-hop injections deliver on the
+    // spot. Under closed loop an injection whose source node is at the
+    // queue depth limit is deferred instead; deferred injections retry
+    // first (they were scheduled earliest), in FIFO order.
     auto TryAdmit = [&](const TimedInjection &Inj) {
+      ++Work;
       const Packet &P = Packets[Inj.Id];
       if (ClosedLoopMaxQueue && P.RouteLen != 0) {
         if (BlockedAt[P.At] == Step ||
-            NodeQueueDepth(P.At) >= ClosedLoopMaxQueue) {
+            NodeQueued[P.At] >= ClosedLoopMaxQueue) {
           BlockedAt[P.At] = Step;
           return false;
         }
@@ -223,11 +348,13 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       }
       if (P.RouteLen == 0) {
         ++Result.Delivered;
-        if constexpr (Collect)
+        DeliveryStep[Inj.Id] = Step;
+        if (Collect)
           Events.Deliveries.push_back(Inj.Id);
         return true;
       }
-      Queues[queueIndex(P.At, routeHop(P, 0))].push_back(Inj.Id);
+      Result.MaxQueueLength =
+          std::max(Result.MaxQueueLength, Push(QueueOf(P), Inj.Id));
       ++Pending;
       return true;
     };
@@ -244,717 +371,148 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         Deferred.push_back(Inj);
     }
 
-    // Sample queue occupancy before transmissions so the initial burst is
-    // visible in MaxQueueLength.
-    for (const auto &Queue : Queues) {
-      Result.MaxQueueLength =
-          std::max<uint64_t>(Result.MaxQueueLength, Queue.size());
-      if constexpr (Collect) {
-        Events.QueuedPackets += Queue.size();
+    QueuedSum += TotalQueued;
+    if (Collect) {
+      Events.QueuedPackets = TotalQueued;
+      uint64_t Uncounted = 0; // observer-only scan: not engine work.
+      forEachSetBit(NonEmpty, 0, Links, Uncounted, [&](size_t B) {
         Events.MaxQueueDepth =
-            std::max<uint64_t>(Events.MaxQueueDepth, Queue.size());
-      }
+            std::max<uint64_t>(Events.MaxQueueDepth, Queue[LinkOfBit(B)].Len);
+      });
     }
 
     // Phase 0: account in-flight multi-flit occupancy and complete the
     // transmissions whose last flit lands this step.
-    for (size_t Q = 0; Q != Busy.size(); ++Q) {
-      InFlight &F = Busy[Q];
-      if (!F.Active || F.DoneStep < Step)
-        continue;
-      // The link is occupied this step by a transmission selected at an
-      // earlier step (its selection step was counted at selection time).
-      ++Result.BusyLinkSteps;
-      if constexpr (Collect)
-        Events.Active.push_back({NodeId(Q / Degree), GenIndex(Q % Degree),
-                                 F.Id, Packets[F.Id].Flits, false});
-      if (F.DoneStep != Step)
-        continue;
-      // The link stays occupied through this arrival step (SelectLink
-      // checks DoneStep >= Step), so do not clear Active here; the next
-      // selection simply overwrites the record.
-      Packet &P = Packets[F.Id];
-      GenIndex Link = routeHop(P, P.NextHop);
-      P.At = Net.next(P.At, Link);
-      ++P.NextHop;
-      Moved.push_back(F.Id);
-      ++Result.Transmissions;
-    }
+    if (InFlightCount != 0)
+      forEachSetBit(InFlight, 0, Links, Work, [&](size_t Q) {
+        ++Work;
+        uint32_t Id = FlightId[Q];
+        // Occupied this step by a transmission selected earlier (its
+        // selection step was counted at selection time).
+        ++Result.BusyLinkSteps;
+        if (Collect)
+          Events.Active.push_back({NodeId(Q / D), GenIndex(Q % D), Id,
+                                   Packets[Id].Flits, false});
+        if (LinkFreeAt[Q] != Step + 1)
+          return;
+        // The last flit lands. The link stays occupied through this step
+        // (LinkFreeAt), so phase 1 cannot reuse it until the next one.
+        Hop(Id, Q);
+        clearBit(InFlight, Q);
+        --InFlightCount;
+      });
 
-    // Phase 1: select one packet per permitted, idle link.
-    auto SelectLink = [&](NodeId Node, GenIndex Link) {
-      size_t Q = queueIndex(Node, Link);
-      if (Busy[Q].Active && Busy[Q].DoneStep >= Step)
-        return false; // mid-message: the link is occupied.
-      auto &Queue = Queues[Q];
-      if (Queue.empty())
-        return false;
-      uint32_t Id = Queue.front();
+    // Phase 1: select one packet per permitted, idle link and start its
+    // transmission. Popping inside the scan is safe: forEachSetBit copies
+    // each word before visiting its bits.
+    auto LinkBusy = [&](size_t Q) {
+      return MultiFlit && LinkFreeAt[Q] > Step;
+    };
+    auto Transmit = [&](size_t Q) {
+      uint32_t Id = Pop(Q);
       Packet &P = Packets[Id];
-      assert(P.At == Node && routeHop(P, P.NextHop) == Link &&
-             "queue corruption");
+      assert(QueueOf(P) == Q && "queue corruption");
       // The link is occupied from this step on (one step for a unit
       // packet, Flits steps for a store-and-forward message).
       ++Result.BusyLinkSteps;
-      if constexpr (Collect)
-        Events.Active.push_back({Node, Link, Id, P.Flits, true});
+      if (Collect)
+        Events.Active.push_back(
+            {NodeId(Q / D), GenIndex(Q % D), Id, P.Flits, true});
       if (P.Flits > 1) {
-        // Occupy the link for Flits steps; arrival in phase 0 of step
-        // Step + Flits - 1, node port free again at Step + Flits.
-        Queue.pop_front();
-        Busy[Q] = {Id, Step + P.Flits - 1, true};
-        NodeBusyUntil[Node] = Step + P.Flits;
-        return true;
+        // Arrival in phase 0 of step Step + Flits - 1; link and node port
+        // free again at Step + Flits.
+        FlightId[Q] = Id;
+        LinkFreeAt[Q] = Step + P.Flits;
+        setBit(InFlight, Q);
+        ++InFlightCount;
+        if (SinglePort)
+          NodeBusyUntil[Q / D] = Step + P.Flits;
+        return;
       }
-      Queue.pop_front();
-      P.At = Net.next(Node, Link);
-      ++P.NextHop;
-      Moved.push_back(Id);
-      ++Result.Transmissions;
-      return true;
+      Hop(Id, Q);
     };
-
     switch (Model) {
     case CommModel::AllPort:
-      for (NodeId Node = 0; Node != Net.numNodes(); ++Node)
-        for (GenIndex G = 0; G != Degree; ++G)
-          SelectLink(Node, G);
+      forEachSetBit(NonEmpty, 0, Links, Work, [&](size_t Q) {
+        ++Work;
+        if (!LinkBusy(Q))
+          Transmit(Q);
+      });
       break;
-    case CommModel::SinglePort:
-      for (NodeId Node = 0; Node != Net.numNodes(); ++Node) {
+    case CommModel::SinglePort: {
+      // One selection per node, round-robin over its links so no queue
+      // starves; a node's bits are contiguous, so it is visited once.
+      NodeId Last = ~NodeId(0);
+      forEachSetBit(NonEmpty, 0, Links, Work, [&](size_t Bit) {
+        ++Work;
+        NodeId Node = NodeId(Bit / D);
+        if (Node == Last)
+          return;
+        Last = Node;
         // A port mid-way through a multi-flit transmission transmits
         // nothing else until the occupancy ends.
-        if (NodeBusyUntil[Node] > Step)
-          continue;
-        // Round-robin over links so no queue starves.
-        for (unsigned Offset = 0; Offset != Degree; ++Offset) {
-          GenIndex G = (PortPointer[Node] + Offset) % Degree;
-          if (SelectLink(Node, G)) {
-            PortPointer[Node] = (G + 1) % Degree;
-            break;
-          }
+        if (MultiFlit && NodeBusyUntil[Node] > Step)
+          return;
+        for (unsigned Offset = 0; Offset != D; ++Offset) {
+          ++Work;
+          GenIndex G = GenIndex((PortPointer[Node] + Offset) % D);
+          size_t Q = size_t(Node) * D + G;
+          if (Queue[Q].Len == 0 || LinkBusy(Q))
+            continue;
+          PortPointer[Node] = GenIndex((G + 1) % D);
+          Transmit(Q);
+          break;
         }
-      }
+      });
       break;
+    }
     case CommModel::SingleDimension: {
       GenIndex G = DimensionCycle[Step % DimensionCycle.size()];
-      if constexpr (Collect) {
+      if (Collect) {
         Events.ScheduledLink = G;
         Events.HasScheduledLink = true;
       }
-      for (NodeId Node = 0; Node != Net.numNodes(); ++Node)
-        SelectLink(Node, G);
+      forEachSetBit(NonEmpty, size_t(G) * N, size_t(G + 1) * N, Work,
+                    [&](size_t Bit) {
+                      ++Work;
+                      size_t Q = LinkOfBit(Bit);
+                      if (!LinkBusy(Q))
+                        Transmit(Q);
+                    });
       break;
     }
     }
 
     // Phase 2: re-enqueue or deliver the moved packets. Two-phase keeps a
     // packet from hopping twice in one step.
-    for (uint32_t Id : Moved)
-      enqueueOrDeliver(Id, Result, Collect ? &Events.Deliveries : nullptr);
+    for (const Move &M : Moved) {
+      if (M.NextQueue == NoQueue) {
+        ++Result.Delivered;
+        --Pending;
+        DeliveryStep[M.Id] = Step;
+        if (Collect)
+          Events.Deliveries.push_back(M.Id);
+        continue;
+      }
+      PendingMax = std::max(PendingMax, Push(M.NextQueue, M.Id));
+    }
 
-    if constexpr (Collect) {
-      Events.Arrivals = Moved;
+    if (Collect) {
+      for (const Move &M : Moved)
+        Events.Arrivals.push_back(M.Id);
       for (SimObserver *O : Observers)
         O->onStep(*this, Events);
     }
+    ++Step;
   }
 
+  Result.Steps = Step;
   Result.Completed =
-      (Pending == 0 && InjCursor == Injections.size() && Deferred.empty());
-  uint64_t LinkSteps = uint64_t(Net.numNodes()) * Degree * Result.Steps;
+      Pending == 0 && InjCursor == Injections.size() && Deferred.empty();
+  uint64_t LinkSteps = uint64_t(Links) * Result.Steps;
   Result.LinkUtilization =
       LinkSteps ? double(Result.BusyLinkSteps) / double(LinkSteps) : 0.0;
-  // Engine-work diagnostic, computed analytically so the hot loop carries
-  // no counter: every step scans all queues (occupancy sample) and all
-  // in-flight slots, plus the selection sweep (per link under all-port,
-  // per node otherwise).
-  uint64_t QCount = uint64_t(Net.numNodes()) * Degree;
-  Result.TouchedWork =
-      Result.Steps * (2 * QCount + (Model == CommModel::AllPort
-                                        ? QCount
-                                        : uint64_t(Net.numNodes())));
-  if constexpr (Collect) {
-    for (SimObserver *O : Observers)
-      O->onRunEnd(*this, Result);
-  }
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Event engine: sharded calendar queues
-//===----------------------------------------------------------------------===//
-//
-// Work is scheduled as (step, id) wake-ups in per-shard binary min-heaps:
-//
-//   entity wakes   "this queue (all-port / single-dimension) or this node
-//                  (single-port) may be able to transmit at step t"
-//   link wakes     "the multi-flit transmission on this link arrives (or,
-//                  observed, occupies the link) at step t"
-//
-// The main loop jumps to the globally earliest wake, so steps where
-// nothing can happen cost nothing; the step engine's per-step full scans
-// are replaced by O(work at that step). Wake-ups may be spurious (a queue
-// scheduled before its link went busy); processing re-derives everything
-// from simulator state, so spurious wakes reschedule and cannot change
-// results.
-//
-// Sharding: nodes are split into fixed contiguous ranges (a function of
-// the node count only). Every queue, heap slot, and wake array entry is
-// owned by exactly one shard. A processed step runs as
-//
-//   (main)   scheduled injections, in global call order
-//   phase A  per shard: pop link wakes then entity wakes == t (each heap
-//            pops in ascending id order, reproducing the step engine's
-//            scan order)
-//   phase B  per shard: scan every shard's moved lists in global order,
-//            enqueue/deliver the packets that now sit on *my* nodes
-//
-// with barriers between, so cross-shard hand-off happens only through the
-// moved lists and each destination queue receives its pushes in the exact
-// order the step engine would have produced. Results are therefore
-// byte-identical at every shard and thread count.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Min-heap of (step, id) wake-ups; pops in ascending (step, id) order,
-/// which is exactly the step engine's scan order within one step.
-using WakeHeap =
-    std::priority_queue<std::pair<uint64_t, uint32_t>,
-                        std::vector<std::pair<uint64_t, uint32_t>>,
-                        std::greater<std::pair<uint64_t, uint32_t>>>;
-
-constexpr uint64_t NoStep = ~uint64_t(0);
-
-} // namespace
-
-template <bool Observed>
-SimulationResult NetworkSimulator::runEventImpl(uint64_t MaxSteps) {
-  SimulationResult Result;
-  Result.Delivered = DeliveredAtInject;
-  const unsigned Degree = Net.degree();
-  const NodeId N = Net.numNodes();
-  const size_t QCount = size_t(N) * Degree;
-
-  StepEvents Events;
-  const bool Collect = Observed && !Observers.empty();
-  if constexpr (Observed) {
-    Events.Model = Model;
-    for (SimObserver *O : Observers)
-      O->onRunBegin(*this);
-  }
-
-  // Shard layout: fixed contiguous node ranges, a function of the node
-  // count only -- never of the thread count -- so results are identical at
-  // every SCG_THREADS setting.
-  unsigned ShardCount = EventShards ? EventShards : effectiveThreadCount();
-  ShardCount = std::max(1u, std::min<unsigned>(ShardCount, std::max<NodeId>(N, 1)));
-  const NodeId NodesPerShard = N ? (N + ShardCount - 1) / ShardCount : 1;
-  auto ShardOfNode = [&](NodeId U) { return unsigned(U / NodesPerShard); };
-
-  // Entity granularity: per node under single-port (one selection per node
-  // per step, round-robin over its queues), per queue otherwise.
-  const bool PerNodeEntity = Model == CommModel::SinglePort;
-  const size_t EntityCount = PerNodeEntity ? N : QCount;
-
-  struct Shard {
-    WakeHeap Entity;
-    WakeHeap Link;
-    // Per-step scratch, cleared after every processed step.
-    std::vector<uint32_t> Arr; ///< phase-0 arrivals (multi-flit completions).
-    std::vector<uint32_t> Sel; ///< phase-1 unit-packet moves.
-    std::vector<LinkActivity> Active0, Active1; ///< observed link activity.
-    uint64_t DeliveredDelta = 0;
-    // Cumulative counters, reduced once at the end.
-    uint64_t Transmissions = 0;
-    uint64_t BusyLinkSteps = 0;
-    uint64_t Work = 0;
-    // MaxQueueLength bookkeeping: pushes land in PendingMax and are folded
-    // into CommittedMax only once a later step runs -- mirroring the step
-    // engine, which samples queues at the *start* of each step and so
-    // never sees pushes made during the final step before a MaxSteps cap.
-    uint64_t PendingMax = 0;
-    uint64_t CommittedMax = 0;
-    // Observed-mode occupancy sampling (pre-step, like the step engine).
-    uint64_t QueuedCount = 0;
-    uint64_t SampledQueued = 0;
-    uint64_t CurMaxDepth = 0;
-    uint64_t SampledMaxDepth = 0;
-    std::vector<uint64_t> DepthCount; ///< queues at each nonzero length.
-  };
-  std::vector<Shard> Shards(ShardCount);
-
-  // Wake bookkeeping: the earliest scheduled wake per entity/link, NoStep
-  // when none. Heap entries whose step no longer matches are stale and
-  // skipped on pop (the lazy-deletion idiom).
-  std::vector<uint64_t> EntityWake(EntityCount, NoStep);
-  std::vector<uint64_t> LinkWakeAt(QCount, NoStep);
-  // Selection step of the in-flight transmission per link (NoStep = none):
-  // occupancy is accounted in bulk at arrival (or at the cap), so
-  // BusyLinkSteps never depends on whether occupancy steps were observed.
-  std::vector<uint64_t> FlightSelStep(QCount, NoStep);
-  // Per-node queued-packet totals: needed by single-port selection and by
-  // closed-loop admission (queue-depth throttling).
-  const bool TrackNodeQueued = PerNodeEntity || ClosedLoopMaxQueue != 0;
-  std::vector<uint32_t> NodeQueued(TrackNodeQueued ? N : 0, 0);
-
-  // Single-dimension schedule: positions of each generator in the cycle,
-  // for jumping straight to the next step a queue's link is permitted.
-  const uint64_t CycleLen = DimensionCycle.size();
-  std::vector<std::vector<uint64_t>> CyclePos;
-  if (Model == CommModel::SingleDimension) {
-    CyclePos.resize(Degree);
-    for (uint64_t I = 0; I != CycleLen; ++I)
-      if (DimensionCycle[I] < Degree)
-        CyclePos[DimensionCycle[I]].push_back(I);
-  }
-  auto NextScheduledStep = [&](GenIndex G, uint64_t From) -> uint64_t {
-    const std::vector<uint64_t> &Pos = CyclePos[G];
-    if (Pos.empty())
-      return NoStep; // generator never scheduled: this traffic stalls.
-    uint64_t Base = From - From % CycleLen, Phase = From % CycleLen;
-    auto It = std::lower_bound(Pos.begin(), Pos.end(), Phase);
-    return It != Pos.end() ? Base + *It : Base + CycleLen + Pos.front();
-  };
-
-  auto ScheduleEntity = [&](size_t E, uint64_t T) {
-    if (T >= EntityWake[E])
-      return; // an earlier (or equal) wake is already scheduled.
-    EntityWake[E] = T;
-    NodeId Node = PerNodeEntity ? NodeId(E) : NodeId(E / Degree);
-    Shards[ShardOfNode(Node)].Entity.push({T, uint32_t(E)});
-  };
-  auto ScheduleLink = [&](size_t Q, uint64_t T) {
-    if (T >= LinkWakeAt[Q])
-      return;
-    LinkWakeAt[Q] = T;
-    Shards[ShardOfNode(NodeId(Q / Degree))].Link.push({T, uint32_t(Q)});
-  };
-  /// Schedules the owner entity of queue \p Q to try transmitting at the
-  /// first permitted step >= \p From.
-  auto WakeForQueue = [&](size_t Q, uint64_t From) {
-    switch (Model) {
-    case CommModel::AllPort:
-      ScheduleEntity(Q, From);
-      break;
-    case CommModel::SinglePort:
-      ScheduleEntity(Q / Degree, From);
-      break;
-    case CommModel::SingleDimension: {
-      uint64_t T = NextScheduledStep(GenIndex(Q % Degree), From);
-      if (T != NoStep)
-        ScheduleEntity(Q, T);
-      break;
-    }
-    }
-  };
-
-  // Observed-mode current-max-depth tracking (an exact histogram over
-  // nonzero queue lengths, so Events.MaxQueueDepth matches the step
-  // engine's full scan without one).
-  auto DepthAdd = [&](Shard &S, size_t Len) {
-    if (Len >= S.DepthCount.size())
-      S.DepthCount.resize(Len + 1, 0);
-    if (Len > 1)
-      --S.DepthCount[Len - 1];
-    ++S.DepthCount[Len];
-    S.CurMaxDepth = std::max<uint64_t>(S.CurMaxDepth, Len);
-  };
-  auto DepthRemove = [&](Shard &S, size_t Len) {
-    --S.DepthCount[Len];
-    if (Len > 1)
-      ++S.DepthCount[Len - 1];
-    while (S.CurMaxDepth && S.DepthCount[S.CurMaxDepth] == 0)
-      --S.CurMaxDepth;
-  };
-
-  /// Appends \p Id to queue \p Q and schedules its owner from \p From.
-  auto PushQueue = [&](size_t Q, uint32_t Id, uint64_t From) {
-    Queues[Q].push_back(Id);
-    size_t Len = Queues[Q].size();
-    Shard &S = Shards[ShardOfNode(NodeId(Q / Degree))];
-    S.PendingMax = std::max<uint64_t>(S.PendingMax, Len);
-    ++S.QueuedCount;
-    if (TrackNodeQueued)
-      ++NodeQueued[Q / Degree];
-    if constexpr (Observed) {
-      if (Collect)
-        DepthAdd(S, Len);
-    }
-    WakeForQueue(Q, From);
-  };
-  auto PopFront = [&](size_t Q, Shard &S) {
-    size_t Len = Queues[Q].size();
-    Queues[Q].pop_front();
-    --S.QueuedCount;
-    if (TrackNodeQueued)
-      --NodeQueued[Q / Degree];
-    if constexpr (Observed) {
-      if (Collect)
-        DepthRemove(S, Len);
-    }
-  };
-
-  // Initial wake scan: one pass over the pre-run injected queues. This is
-  // the only full O(nodes * degree) sweep the engine ever does.
-  for (size_t Q = 0; Q != QCount; ++Q) {
-    size_t Len = Queues[Q].size();
-    if (!Len)
-      continue;
-    Shard &S = Shards[ShardOfNode(NodeId(Q / Degree))];
-    S.PendingMax = std::max<uint64_t>(S.PendingMax, Len);
-    S.QueuedCount += Len;
-    if (TrackNodeQueued)
-      NodeQueued[Q / Degree] += Len;
-    if constexpr (Observed) {
-      if (Collect)
-        for (size_t L = 1; L <= Len; ++L)
-          DepthAdd(S, L);
-    }
-    WakeForQueue(Q, 0);
-  }
-
-  /// Selects the front of queue \p Q for transmission at step \p T exactly
-  /// as the step engine's SelectLink selected path. Returns true when the
-  /// selected message is multi-flit (the link is now in flight).
-  auto SelectFrom = [&](size_t Q, uint64_t T, Shard &S) {
-    uint32_t Id = Queues[Q].front();
-    Packet &P = Packets[Id];
-    NodeId Node = NodeId(Q / Degree);
-    GenIndex Link = GenIndex(Q % Degree);
-    assert(P.At == Node && routeHop(P, P.NextHop) == Link &&
-           "queue corruption");
-    ++S.BusyLinkSteps; // the selection step itself.
-    if constexpr (Observed) {
-      if (Collect)
-        S.Active1.push_back({Node, Link, Id, P.Flits, true});
-    }
-    PopFront(Q, S);
-    if (P.Flits > 1) {
-      Busy[Q] = {Id, T + P.Flits - 1, true};
-      FlightSelStep[Q] = T;
-      NodeBusyUntil[Node] = T + P.Flits;
-      // Unobserved, only the arrival matters; observed, the link must wake
-      // every occupancy step so observers see the continuing activity.
-      ScheduleLink(Q, Collect ? T + 1 : T + P.Flits - 1);
-      return true;
-    }
-    P.At = Net.next(Node, Link);
-    ++P.NextHop;
-    S.Sel.push_back(Id);
-    ++S.Transmissions;
-    return false;
-  };
-
-  /// Phase A for one shard: link wakes (the step engine's phase 0) then
-  /// entity wakes (phase 1), each popped in ascending id order.
-  auto PhaseA = [&](Shard &S, uint64_t T) {
-    if constexpr (Observed) {
-      if (Collect) {
-        S.SampledQueued = S.QueuedCount;
-        S.SampledMaxDepth = S.CurMaxDepth;
-      }
-    }
-    while (!S.Link.empty() && S.Link.top().first == T) {
-      size_t Q = S.Link.top().second;
-      S.Link.pop();
-      if (LinkWakeAt[Q] != T)
-        continue; // stale entry superseded by an earlier wake.
-      LinkWakeAt[Q] = NoStep;
-      ++S.Work;
-      InFlight &F = Busy[Q];
-      if (!F.Active || F.DoneStep < T)
-        continue;
-      if constexpr (Observed) {
-        if (Collect)
-          S.Active0.push_back({NodeId(Q / Degree), GenIndex(Q % Degree),
-                               F.Id, Packets[F.Id].Flits, false});
-      }
-      if (F.DoneStep != T) {
-        ScheduleLink(Q, T + 1); // observed occupancy chain, no accounting.
-        continue;
-      }
-      // Arrival: the last flit lands. Occupancy steps after selection are
-      // accounted here in one add (the step engine added 1 per step).
-      Packet &P = Packets[F.Id];
-      GenIndex Link = routeHop(P, P.NextHop);
-      P.At = Net.next(P.At, Link);
-      ++P.NextHop;
-      S.Arr.push_back(F.Id);
-      ++S.Transmissions;
-      S.BusyLinkSteps += T - FlightSelStep[Q];
-      FlightSelStep[Q] = NoStep;
-      // The link stays occupied through the arrival step; queued traffic
-      // may transmit again from T + 1 (node port likewise frees at T + 1).
-      if (!Queues[Q].empty())
-        WakeForQueue(Q, T + 1);
-    }
-
-    while (!S.Entity.empty() && S.Entity.top().first == T) {
-      size_t E = S.Entity.top().second;
-      S.Entity.pop();
-      if (EntityWake[E] != T)
-        continue;
-      EntityWake[E] = NoStep;
-      ++S.Work;
-      if (!PerNodeEntity) {
-        size_t Q = E;
-        if (Busy[Q].Active && Busy[Q].DoneStep >= T) {
-          // Mid-message: first possible transmission is DoneStep + 1.
-          if (!Queues[Q].empty())
-            WakeForQueue(Q, Busy[Q].DoneStep + 1);
-          continue;
-        }
-        if (Queues[Q].empty())
-          continue; // spurious (queue drained since scheduling).
-        bool Multi = SelectFrom(Q, T, S);
-        if (!Queues[Q].empty())
-          WakeForQueue(Q, Multi ? Busy[Q].DoneStep + 1 : T + 1);
-        continue;
-      }
-      // Single-port: one selection per node per step, round-robin so no
-      // queue starves -- the step engine's loop verbatim.
-      NodeId Node = NodeId(E);
-      if (NodeBusyUntil[Node] > T) {
-        if (NodeQueued[Node])
-          ScheduleEntity(Node, NodeBusyUntil[Node]);
-        continue;
-      }
-      for (unsigned Offset = 0; Offset != Degree; ++Offset) {
-        GenIndex G = (PortPointer[Node] + Offset) % Degree;
-        size_t Q = queueIndex(Node, G);
-        if (Busy[Q].Active && Busy[Q].DoneStep >= T)
-          continue;
-        if (Queues[Q].empty())
-          continue;
-        bool Multi = SelectFrom(Q, T, S);
-        PortPointer[Node] = (G + 1) % Degree;
-        if (NodeQueued[Node])
-          ScheduleEntity(Node, Multi ? NodeBusyUntil[Node] : T + 1);
-        break;
-      }
-    }
-  };
-
-  /// Phase B for one shard: walk every shard's moved lists in the step
-  /// engine's global order (all arrivals by queue id, then all selections
-  /// by node id) and enqueue/deliver the packets now sitting on my nodes.
-  auto PhaseB = [&](Shard &Me, unsigned MyIdx, uint64_t T) {
-    auto Handle = [&](uint32_t Id) {
-      Packet &P = Packets[Id];
-      if (ShardOfNode(P.At) != MyIdx)
-        return;
-      if (P.NextHop == P.RouteLen) {
-        ++Me.DeliveredDelta;
-        return;
-      }
-      PushQueue(queueIndex(P.At, routeHop(P, P.NextHop)), Id, T + 1);
-    };
-    for (const Shard &Src : Shards)
-      for (uint32_t Id : Src.Arr)
-        Handle(Id);
-    for (const Shard &Src : Shards)
-      for (uint32_t Id : Src.Sel)
-        Handle(Id);
-  };
-
-  ThreadPool &Pool = ThreadPool::global();
-  const bool Parallel = ShardCount > 1;
-  size_t InjCursor = 0;
-  uint64_t LastProcessed = NoStep;
-  uint64_t MainWork = 0;
-  bool Capped = false;
-
-  // Closed-loop admission state, mirroring the step engine exactly: the
-  // step engine retries a blocked injection at *every* step, but queue
-  // depths only change at steps where the event engine has scheduled work
-  // -- so retrying at each processed step admits at the identical step.
-  // The one divergence risk is a deferred injection with no other wake
-  // pending (queues drained, or depths frozen until a distant wake):
-  // NextWake therefore offers LastProcessed + 1 as a candidate whenever
-  // Deferred is nonempty, grinding step-by-step like the step engine
-  // would until admission succeeds or the cap lands.
-  std::deque<TimedInjection> Deferred;
-  constexpr uint64_t NeverStep = ~uint64_t(0);
-  std::vector<uint64_t> BlockedAt(ClosedLoopMaxQueue ? N : 0, NeverStep);
-
-  auto NextWake = [&]() {
-    uint64_t T =
-        InjCursor != Injections.size() ? Injections[InjCursor].Step : NoStep;
-    if (!Deferred.empty())
-      T = std::min(T, LastProcessed == NoStep ? 0 : LastProcessed + 1);
-    for (const Shard &S : Shards) {
-      if (!S.Entity.empty())
-        T = std::min(T, S.Entity.top().first);
-      if (!S.Link.empty())
-        T = std::min(T, S.Link.top().first);
-    }
-    return T;
-  };
-
-  while (Pending != 0 || InjCursor != Injections.size() ||
-         !Deferred.empty()) {
-    uint64_t T = NextWake();
-    if (T >= MaxSteps) {
-      // Cap reached (or traffic is permanently stalled, e.g. a generator
-      // missing from the dimension cycle): the step engine would grind
-      // empty steps to the cap.
-      Capped = true;
-      break;
-    }
-
-    // Committing here makes pushes from earlier steps visible, matching
-    // the step engine's start-of-step queue sample: any push is sampled
-    // iff at least one later step runs.
-    for (Shard &S : Shards) {
-      S.CommittedMax = std::max(S.CommittedMax, S.PendingMax);
-      S.PendingMax = 0;
-    }
-    if constexpr (Observed) {
-      if (Collect) {
-        Events.clear();
-        Events.Step = T;
-      }
-    }
-
-    // Scheduled injections, applied on the main thread in global call
-    // order (each push still lands in its owner shard's bookkeeping).
-    // Closed-loop admission is the step engine's verbatim: deferred
-    // injections retry first in FIFO order, then newly scheduled ones; a
-    // per-node per-step blocked stamp keeps retries O(1) (admissions only
-    // deepen queues within a step, so a failed depth test stays failed).
-    auto TryAdmit = [&](const TimedInjection &Inj) {
-      const Packet &P = Packets[Inj.Id];
-      ++MainWork;
-      if (ClosedLoopMaxQueue && P.RouteLen != 0) {
-        if (BlockedAt[P.At] == T || NodeQueued[P.At] >= ClosedLoopMaxQueue) {
-          BlockedAt[P.At] = T;
-          return false;
-        }
-      }
-      if (T != Inj.Step) {
-        ++Result.DeferredInjections;
-        Result.DeferredSteps += T - Inj.Step;
-      }
-      if (P.RouteLen == 0) {
-        ++Result.Delivered;
-        if constexpr (Observed) {
-          if (Collect)
-            Events.Deliveries.push_back(Inj.Id);
-        }
-        return true;
-      }
-      PushQueue(queueIndex(P.At, routeHop(P, 0)), Inj.Id, T);
-      ++Pending;
-      return true;
-    };
-    for (size_t I = 0, E = Deferred.size(); I != E; ++I) {
-      TimedInjection Inj = Deferred.front();
-      Deferred.pop_front();
-      if (!TryAdmit(Inj))
-        Deferred.push_back(Inj);
-    }
-    while (InjCursor != Injections.size() &&
-           Injections[InjCursor].Step <= T) {
-      const TimedInjection &Inj = Injections[InjCursor++];
-      if (!TryAdmit(Inj))
-        Deferred.push_back(Inj);
-    }
-    // Injections are visible to this step's sample in the step engine.
-    for (Shard &S : Shards) {
-      S.CommittedMax = std::max(S.CommittedMax, S.PendingMax);
-      S.PendingMax = 0;
-    }
-
-    if (Parallel) {
-      Pool.parallelFor(0, ShardCount,
-                       [&](uint64_t I) { PhaseA(Shards[I], T); },
-                       /*ChunkSize=*/1);
-      Pool.parallelFor(0, ShardCount,
-                       [&](uint64_t I) { PhaseB(Shards[I], unsigned(I), T); },
-                       /*ChunkSize=*/1);
-    } else {
-      PhaseA(Shards[0], T);
-      PhaseB(Shards[0], 0, T);
-    }
-
-    uint64_t DeliveredNow = 0;
-    for (Shard &S : Shards) {
-      DeliveredNow += S.DeliveredDelta;
-      S.DeliveredDelta = 0;
-    }
-    Pending -= DeliveredNow;
-    Result.Delivered += DeliveredNow;
-
-    if constexpr (Observed) {
-      if (Collect) {
-        if (Model == CommModel::SingleDimension) {
-          Events.ScheduledLink = DimensionCycle[T % CycleLen];
-          Events.HasScheduledLink = true;
-        }
-        for (const Shard &S : Shards) {
-          Events.QueuedPackets += S.SampledQueued;
-          Events.MaxQueueDepth =
-              std::max(Events.MaxQueueDepth, S.SampledMaxDepth);
-          Events.Active.insert(Events.Active.end(), S.Active0.begin(),
-                               S.Active0.end());
-        }
-        for (const Shard &S : Shards)
-          Events.Active.insert(Events.Active.end(), S.Active1.begin(),
-                               S.Active1.end());
-        for (const Shard &S : Shards)
-          Events.Arrivals.insert(Events.Arrivals.end(), S.Arr.begin(),
-                                 S.Arr.end());
-        for (const Shard &S : Shards)
-          Events.Arrivals.insert(Events.Arrivals.end(), S.Sel.begin(),
-                                 S.Sel.end());
-        for (uint32_t Id : Events.Arrivals)
-          if (Packets[Id].NextHop == Packets[Id].RouteLen)
-            Events.Deliveries.push_back(Id);
-        for (SimObserver *O : Observers)
-          O->onStep(*this, Events);
-      }
-    }
-    for (Shard &S : Shards) {
-      S.Arr.clear();
-      S.Sel.clear();
-      S.Active0.clear();
-      S.Active1.clear();
-    }
-    LastProcessed = T;
-  }
-
-  if (Capped) {
-    Result.Steps = MaxSteps;
-    Result.Completed = false;
-    // The step engine ran the steps in (LastProcessed, MaxSteps) empty; if
-    // any exist, their queue samples saw the last step's pushes.
-    if (MaxSteps > (LastProcessed == NoStep ? 0 : LastProcessed + 1))
-      for (Shard &S : Shards) {
-        S.CommittedMax = std::max(S.CommittedMax, S.PendingMax);
-        S.PendingMax = 0;
-      }
-    // In-flight messages occupy their links through every executed step.
-    for (size_t Q = 0; Q != QCount; ++Q)
-      if (FlightSelStep[Q] != NoStep)
-        Shards[ShardOfNode(NodeId(Q / Degree))].BusyLinkSteps +=
-            (MaxSteps - 1) - FlightSelStep[Q];
-  } else {
-    Result.Steps = LastProcessed == NoStep ? 0 : LastProcessed + 1;
-    Result.Completed = true;
-  }
-
-  for (const Shard &S : Shards) {
-    Result.Transmissions += S.Transmissions;
-    Result.BusyLinkSteps += S.BusyLinkSteps;
-    Result.MaxQueueLength = std::max(Result.MaxQueueLength, S.CommittedMax);
-    Result.TouchedWork += S.Work;
-  }
-  Result.TouchedWork += MainWork;
-  uint64_t LinkSteps = uint64_t(N) * Degree * Result.Steps;
-  Result.LinkUtilization =
-      LinkSteps ? double(Result.BusyLinkSteps) / double(LinkSteps) : 0.0;
+  Result.TouchedWork = Work;
   if constexpr (Observed) {
     for (SimObserver *O : Observers)
       O->onRunEnd(*this, Result);

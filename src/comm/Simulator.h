@@ -1,4 +1,4 @@
-//===- comm/Simulator.h - Packet-level simulator (step + event) *- C++ -*-===//
+//===- comm/Simulator.h - Packet-level network simulator -------*- C++ -*-===//
 //
 // Part of the super-cayley-graphs project, under the MIT license.
 //
@@ -18,29 +18,26 @@
 /// queues, two-phase step execution (select transmissions, then apply), and
 /// completion/utilization statistics.
 ///
-/// Two interchangeable engines execute the same semantics:
-///
-///   SimEngine::Step   the original globally synchronous loop: every step
-///                     scans all queues and links. Cost per step is
-///                     O(nodes * degree) even when nothing is in flight.
-///   SimEngine::Event  a calendar-queue core that only touches nodes/links
-///                     with pending work and fast-forwards over empty
-///                     steps. Results (Steps, Delivered, Transmissions,
-///                     BusyLinkSteps, MaxQueueLength, LinkUtilization) are
-///                     byte-identical to the step engine -- pinned by
-///                     tests/EventCoreDifferentialTest.cpp -- but cost is
-///                     proportional to actual activity, which is what makes
-///                     steady-state load sweeps (comm/Workload.h) feasible.
-///
-/// The event engine can additionally shard per-node state across the
-/// global ThreadPool (setEventShards): shard boundaries are a fixed
-/// function of the node count, every queue/heap is owned by exactly one
-/// shard, and each step runs as two deterministic phases with barriers, so
-/// parallel runs are byte-identical to serial ones at every thread count.
+/// One globally synchronous engine executes every model. Per-link FIFOs
+/// are intrusive lists in flat arrays (head, tail and length per link, one
+/// next-pointer per packet), so a simulator costs a few bytes per link and
+/// nothing per idle queue. Each step scans a bitmap of non-empty queues
+/// (and one of multi-flit links in flight) word by word in ascending link
+/// id, which is the order the original full-scan loop visited links in, so
+/// results are byte-identical to it -- pinned by
+/// tests/SimulatorDifferentialTest.cpp against that loop, kept in tests/ as
+/// the reference. Steps where nothing is queued, in flight or deferred are
+/// skipped up to the next scheduled injection; they would hold no traffic.
 ///
 /// Traffic can be injected up front (injectPacket) or scheduled for a
 /// future step (scheduleInjection), which is how the open-loop workload
-/// driver offers load at a configurable injection rate.
+/// driver offers load at a configurable injection rate. After run(), the
+/// delivery step of every packet and the summed queue occupancy are read
+/// straight off the simulator (deliverySteps, queuedPacketSum).
+///
+/// Public entry points validate their input and throw
+/// std::invalid_argument on a source node, hop, flit count, route handle
+/// or dimension cycle the network cannot carry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +47,6 @@
 #include "networks/Explicit.h"
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -62,7 +58,8 @@ enum class CommModel { AllPort, SinglePort, SingleDimension };
 /// Returns a display name ("all-port", ...).
 std::string commModelName(CommModel Model);
 
-/// The two execution engines (identical results, different cost model).
+/// Historical engine selector. There is one engine now; both values run
+/// it and give identical results. Kept so existing callers compile.
 enum class SimEngine { Step, Event };
 
 /// Returns a display name ("step", "event").
@@ -83,26 +80,22 @@ struct SimulationResult {
   uint64_t BusyLinkSteps = 0;
   uint64_t MaxQueueLength = 0;
   double LinkUtilization = 0.0; ///< BusyLinkSteps / (links * steps).
-  /// Engine-work diagnostic: queue/link slots the engine examined. This is
-  /// the one field that is *engine-dependent by design* (the step engine
-  /// scans everything every step, the event engine only touches scheduled
-  /// work), so it is excluded from engine-identity comparisons. The
-  /// sparse-traffic speedup of the event core is this ratio.
+  /// Engine-work diagnostic: bitmap words scanned plus queue and link
+  /// slots touched (selection visits, in-flight visits, injection
+  /// attempts). Deterministic and identical with or without observers; a
+  /// full-scan loop would touch Steps * (3 * links) slots under all-port.
   uint64_t TouchedWork = 0;
   /// Closed-loop admission control (setClosedLoop): scheduled injections
   /// that were admitted later than their scheduled step, and the total
-  /// admission delay in steps summed over them. Both zero under open loop,
-  /// and byte-identical across engines/shards/threads like every other
-  /// result field (injections still deferred when the run ends are counted
-  /// in neither).
+  /// admission delay in steps summed over them. Both zero under open loop
+  /// (injections still deferred when the run ends are counted in neither).
   uint64_t DeferredInjections = 0;
   uint64_t DeferredSteps = 0;
 };
 
 class SimObserver;
-struct StepEvents;
 
-/// The simulator. Inject packets, then run(). Optionally attach
+/// The simulator. Inject packets, then run() once. Optionally attach
 /// SimObservers (comm/SimObserver.h) first; with none attached run()
 /// executes an uninstrumented loop, so observability is free when off and
 /// results are identical either way.
@@ -113,33 +106,27 @@ public:
   const ExplicitScg &net() const { return Net; }
   CommModel model() const { return Model; }
 
-  /// Selects the execution engine (default SimEngine::Step, the historical
-  /// behavior). Results are byte-identical either way; see the file
-  /// comment for the cost trade-off.
-  void setEngine(SimEngine E) { Engine = E; }
-  SimEngine engine() const { return Engine; }
+  /// No-op: every SimEngine value runs the one engine.
+  void setEngine(SimEngine) {}
 
-  /// Event engine only: shards per-node state into \p Shards fixed,
-  /// contiguous node ranges executed in parallel on the global ThreadPool
-  /// with two barriers per processed step. 1 (the default) runs serially;
-  /// 0 resolves to the effective thread count. Results are byte-identical
-  /// at every shard and thread count (fixed shard boundaries, per-shard
-  /// calendar queues, and phase-2 pushes applied in global step order by
-  /// the owning shard).
-  void setEventShards(unsigned Shards) { EventShards = Shards; }
+  /// No-op: the engine is serial, so results are trivially identical at
+  /// every shard and thread count.
+  void setEventShards(unsigned) {}
 
   /// Injects a packet at \p Src that will follow \p Route hop by hop.
   /// \p FlitCount > 1 models a store-and-forward message: each link
   /// transmission occupies the link for FlitCount consecutive steps (the
   /// whole message is buffered per hop). Pipelined (cut-through/wormhole)
   /// transfers are modeled by injecting FlitCount unit packets instead.
+  /// Packets injected here enter their queues before step 0, ahead of any
+  /// scheduled injection; zero-hop ones count as delivered at step 0.
   void injectPacket(NodeId Src, std::vector<GenIndex> Route,
                     unsigned FlitCount = 1);
 
   /// Schedules a packet to be injected at the start of step \p Step (so it
   /// is eligible to transmit during that step). Open-loop traffic at a
   /// configurable injection rate is built from these. Returns the packet
-  /// id, which identifies the packet in StepEvents::Deliveries. Packets
+  /// id, which indexes deliverySteps() and StepEvents::Deliveries. Packets
   /// scheduled for the same step are injected in call order.
   uint32_t scheduleInjection(uint64_t Step, NodeId Src,
                              std::vector<GenIndex> Route,
@@ -150,7 +137,7 @@ public:
   /// scheduleInjectionShared. On a vertex-transitive network a route is a
   /// function of the relative label only, so the batched traffic setup
   /// stores one route per distinct label here instead of one owned
-  /// std::vector per packet.
+  /// std::vector per packet. The route is validated here, once.
   uint32_t addSharedRoute(std::span<const GenIndex> Route);
 
   /// scheduleInjection following the previously registered shared route
@@ -168,53 +155,60 @@ public:
   /// deferred and retried (FIFO among deferred injections, which are
   /// always retried before that step's newly scheduled ones). Zero-hop
   /// packets occupy no queue and are never throttled. 0 (the default)
-  /// restores open-loop behavior. Results remain byte-identical across
-  /// engines, shard counts, and thread counts: admission decisions are
-  /// made on the main thread in a deterministic order, and queue depths
-  /// only change at steps both engines process.
+  /// restores open-loop behavior.
   void setClosedLoop(uint64_t MaxNodeQueue) {
     ClosedLoopMaxQueue = MaxNodeQueue;
   }
 
   /// For the single-dimension model: the generator used at step t is
   /// Cycle[t % Cycle.size()]. Defaults to cycling all generators in order.
+  /// Throws std::invalid_argument on an empty cycle or a generator the
+  /// network does not have.
   void setDimensionCycle(std::vector<GenIndex> Cycle);
 
   /// Attaches a step observer (non-owning; must outlive run()). Observers
-  /// fire in attachment order at the end of every step. Under the event
-  /// engine, steps with no scheduled work are fast-forwarded and fire no
+  /// fire in attachment order at the end of every processed step. Steps
+  /// skipped because nothing was queued, in flight or deferred fire no
   /// onStep (there is nothing to report: no link is busy, no packet
-  /// moves, queue contents are unchanged).
+  /// moves, every queue is empty).
   void addObserver(SimObserver *Observer);
 
-  /// Benchmark knob: forces run() through the instrumented loop even with
-  /// no observer attached, so the perf-smoke lane can measure the hook
-  /// overhead of the disabled observability layer (asserted <= 2% by
-  /// bench_pipelining --smoke). Results are unaffected.
+  /// Runs the instrumented loop even with no observer attached; its
+  /// record-building branches stay switched off, so the perf-smoke lane can
+  /// measure the hook overhead of the disabled observability layer
+  /// (asserted <= 2% by bench_pipelining --smoke). Results are unaffected.
   void forceInstrumentation(bool On) { AlwaysInstrument = On; }
 
   /// Runs until every packet (including scheduled injections) is delivered
-  /// or \p MaxSteps elapse.
+  /// or \p MaxSteps elapse. A simulator runs once; a second call throws
+  /// std::logic_error.
   SimulationResult run(uint64_t MaxSteps);
+
+  /// deliverySteps() value of a packet still in the network (or never
+  /// admitted) when run() returned.
+  static constexpr uint64_t NotDelivered = ~uint64_t(0);
+
+  /// After run(): the step each packet was delivered in, indexed by packet
+  /// id (injection call order), or NotDelivered.
+  std::span<const uint64_t> deliverySteps() const { return DeliveryStep; }
+
+  /// After run(): the queued-packet count sampled at the start of every
+  /// step (after that step's injections), summed over the run's steps.
+  /// Skipped steps hold zero packets, so QueuedSum / Steps is the mean
+  /// occupancy over the whole run.
+  uint64_t queuedPacketSum() const { return QueuedSum; }
 
 private:
   /// Packets hold views into RoutePool (begin + length) instead of owned
   /// vectors: shared routes are registered once and referenced by every
   /// packet on the same relative label, and per-packet state is a flat
-  /// 16-byte record with no heap indirection on the hot path.
+  /// record with no heap indirection on the hot path.
   struct Packet {
     NodeId At;
     uint32_t NextHop;
     unsigned Flits;
     uint32_t RouteBegin; ///< first hop's index in RoutePool.
     uint32_t RouteLen;   ///< number of hops.
-  };
-
-  /// In-flight multi-flit transmission on one link.
-  struct InFlight {
-    uint32_t Id = 0;
-    uint64_t DoneStep = 0;
-    bool Active = false;
   };
 
   /// A scheduled future injection: Packets[Id] enters its first queue at
@@ -224,60 +218,37 @@ private:
     uint32_t Id;
   };
 
-  /// Queue index of (node, link).
-  size_t queueIndex(NodeId Node, GenIndex Link) const {
-    return size_t(Node) * Net.degree() + Link;
-  }
+  /// Throws std::invalid_argument unless \p Src is a node and \p FlitCount
+  /// is at least one.
+  void checkSource(NodeId Src, unsigned FlitCount) const;
 
-  /// Enqueues packet \p Id at its current node for its next hop; delivers
-  /// it instead when the route is exhausted (recording the id in
-  /// \p DeliveredOut when the caller is collecting events).
-  void enqueueOrDeliver(uint32_t Id, SimulationResult &Result,
-                        std::vector<uint32_t> *DeliveredOut);
+  /// Throws std::invalid_argument unless every hop is a generator index.
+  void checkRoute(std::span<const GenIndex> Route) const;
 
-  /// The step-engine loop. Instantiated twice: Collect = false is the
-  /// pristine hot loop (no event collection, no hook checks, selected
-  /// whenever no observer is attached); Collect = true adds the observer
-  /// machinery. run() dispatches once on entry, so zero-overhead
-  /// observability is structural.
-  template <bool Collect> SimulationResult runImpl(uint64_t MaxSteps);
-
-  /// The event-engine loop (calendar queues, sharded). Same Observed
-  /// dispatch contract as runImpl.
-  template <bool Observed> SimulationResult runEventImpl(uint64_t MaxSteps);
-
-  /// Appends \p Route to RoutePool and returns (begin, length).
+  /// Appends a validated \p Route to RoutePool and returns (begin, length).
   std::pair<uint32_t, uint32_t> appendRoute(std::span<const GenIndex> Route);
 
-  /// Hop \p Hop of packet \p P.
-  GenIndex routeHop(const Packet &P, uint32_t Hop) const {
-    return RoutePool[size_t(P.RouteBegin) + Hop];
-  }
+  /// The engine loop. Instantiated twice: Observed = false is the hot loop
+  /// with no event collection (selected whenever no observer is attached
+  /// and instrumentation is not forced); Observed = true builds a
+  /// StepEvents record per processed step.
+  template <bool Observed> SimulationResult runImpl(uint64_t MaxSteps);
 
   const ExplicitScg &Net;
   CommModel Model;
-  SimEngine Engine = SimEngine::Step;
-  unsigned EventShards = 1;
   uint64_t ClosedLoopMaxQueue = 0; ///< 0 = open loop (no admission control).
   std::vector<GenIndex> RoutePool; ///< every route, flat; packets index in.
   /// Shared routes by handle: (begin, length) into RoutePool.
   std::vector<std::pair<uint32_t, uint32_t>> SharedRoutes;
   std::vector<Packet> Packets;
-  std::vector<std::deque<uint32_t>> Queues;
-  std::vector<InFlight> Busy; ///< per-link multi-flit transmission state.
+  std::vector<uint32_t> PreRun; ///< injectPacket ids with a nonempty route.
   std::vector<TimedInjection> Injections; ///< future injections, by Step.
   std::vector<GenIndex> DimensionCycle;
-  std::vector<GenIndex> PortPointer; ///< round-robin state per node.
-  /// Single-port rule for store-and-forward messages: a node whose port is
-  /// mid-way through a multi-flit transmission may not start another until
-  /// the occupancy ends. NodeBusyUntil[u] is the first step u is free
-  /// again (selection step + FlitCount); 0 = never busy. Maintained for
-  /// every model, consulted only under CommModel::SinglePort.
-  std::vector<uint64_t> NodeBusyUntil;
-  uint64_t Pending = 0;
-  uint64_t DeliveredAtInject = 0; ///< zero-hop packets, delivered on inject.
   std::vector<SimObserver *> Observers;
   bool AlwaysInstrument = false;
+  bool Ran = false;
+  std::vector<uint64_t> DeliveryStep; ///< filled by run().
+  uint64_t QueuedSum = 0;             ///< filled by run().
 };
 
 } // namespace scg

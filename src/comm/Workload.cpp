@@ -6,7 +6,6 @@
 
 #include "comm/Workload.h"
 
-#include "comm/SimObserver.h"
 #include "emulation/ScgRouter.h"
 #include "query/QueryEngine.h"
 #include "support/Format.h"
@@ -157,37 +156,6 @@ std::vector<TrafficEvent> WorkloadGenerator::generate(uint64_t Steps) const {
   return Trace;
 }
 
-namespace {
-
-/// Records the delivery step of every packet id it sees.
-class DeliveryRecorder final : public SimObserver {
-public:
-  explicit DeliveryRecorder(size_t PacketCount)
-      : DeliverStep(PacketCount, ~uint64_t(0)) {}
-
-  void onStep(const NetworkSimulator &, const StepEvents &Events) override {
-    for (uint32_t Id : Events.Deliveries)
-      if (Id < DeliverStep.size())
-        DeliverStep[Id] = Events.Step;
-  }
-
-  std::vector<uint64_t> DeliverStep;
-};
-
-/// Averages Events.QueuedPackets over the steps the engine reports (the
-/// event core fast-forwards empty steps, so this is "over active steps").
-class OccupancyRecorder final : public SimObserver {
-public:
-  void onStep(const NetworkSimulator &, const StepEvents &Events) override {
-    QueuedSum += Events.QueuedPackets;
-    ++ActiveSteps;
-  }
-  uint64_t QueuedSum = 0;
-  uint64_t ActiveSteps = 0;
-};
-
-} // namespace
-
 TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
                                            CommModel Model,
                                            const WorkloadSpec &Spec,
@@ -198,8 +166,6 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   std::vector<TrafficEvent> Trace = Gen.generate(Steps);
 
   NetworkSimulator Sim(Net, Model);
-  Sim.setEngine(Options.Engine);
-  Sim.setEventShards(Options.Shards);
   if (Options.ClosedLoopMaxQueue)
     Sim.setClosedLoop(Options.ClosedLoopMaxQueue);
 
@@ -333,10 +299,6 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
                            ? double(Trace.size()) / double(Result.DistinctLabels)
                            : 0.0;
 
-  DeliveryRecorder Recorder(Trace.size());
-  OccupancyRecorder Occupancy;
-  Sim.addObserver(&Recorder);
-  Sim.addObserver(&Occupancy);
   for (SimObserver *O : Options.Observers)
     Sim.addObserver(O);
 
@@ -346,14 +308,14 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   Result.OfferedRate = double(Result.Offered) / NodeSteps;
   Result.DeliveredRate = double(Result.Sim.Delivered) / NodeSteps;
 
+  std::span<const uint64_t> DeliverStep = Sim.deliverySteps();
   std::vector<uint64_t> Latencies;
   uint64_t HopSum = 0;
   uint64_t LatencySum = 0;
   for (size_t I = 0; I != Trace.size(); ++I) {
-    if (Recorder.DeliverStep[I] == ~uint64_t(0))
+    if (DeliverStep[I] == NetworkSimulator::NotDelivered)
       continue; // still in the network at the horizon.
-    uint64_t Latency =
-        Hops[I] ? Recorder.DeliverStep[I] - InjectStep[I] + 1 : 0;
+    uint64_t Latency = Hops[I] ? DeliverStep[I] - InjectStep[I] + 1 : 0;
     Latencies.push_back(Latency);
     LatencySum += Latency;
     HopSum += Hops[I];
@@ -365,9 +327,9 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
     Result.P50Latency = Latencies[(Latencies.size() - 1) * 50 / 100];
     Result.P99Latency = Latencies[(Latencies.size() - 1) * 99 / 100];
   }
-  if (Occupancy.ActiveSteps)
+  if (Result.Sim.Steps)
     Result.MeanQueued =
-        double(Occupancy.QueuedSum) / double(Occupancy.ActiveSteps);
+        double(Sim.queuedPacketSum()) / double(Result.Sim.Steps);
 
   if (MetricsRegistry *Reg = Options.Registry) {
     Reg->counter("traffic.offered").add(Result.Offered);

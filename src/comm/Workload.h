@@ -91,8 +91,8 @@ private:
 
 /// Options of the traffic driver.
 struct TrafficLoadOptions {
-  SimEngine Engine = SimEngine::Event; ///< load sweeps want the event core.
-  unsigned Shards = 1;                 ///< setEventShards value.
+  SimEngine Engine = SimEngine::Event; ///< no-op: there is one engine.
+  unsigned Shards = 1;                 ///< no-op: the engine is serial.
   MetricsRegistry *Registry = nullptr; ///< optional traffic.* metrics sink.
   std::vector<SimObserver *> Observers; ///< extra observers to attach.
   /// Batched route setup (the default): dedupe all (src, dst) pairs to
@@ -124,7 +124,10 @@ struct TrafficLoadResult {
   double MeanLatency = 0.0;
   uint64_t P50Latency = 0;
   uint64_t P99Latency = 0;
-  double MeanQueued = 0.0; ///< mean queued packets over active steps.
+  /// Mean occupancy: the queued packets sampled at the start of every
+  /// step (after its injections), summed, divided by Sim.Steps. Steps the
+  /// simulator skips hold zero packets and count in the denominator.
+  double MeanQueued = 0.0;
   /// Setup telemetry. DistinctLabels and DedupFactor are deterministic
   /// (pure functions of the trace); SetupSeconds is wall-clock time of the
   /// route-setup phase and is the ONLY field excluded from the
@@ -136,8 +139,10 @@ struct TrafficLoadResult {
 
 /// Offers \p Spec traffic to \p Net under \p Model for \p Steps steps
 /// (routes are the lifted optimal star routes, as in permutation routing)
-/// and reports what was delivered. Deterministic for fixed inputs,
-/// including across engines, shard counts, and thread counts.
+/// and reports what was delivered. Deterministic for fixed inputs at every
+/// thread count. Delivery steps and occupancy are read off the simulator
+/// after the run; no observer is attached unless Options.Observers names
+/// one.
 TrafficLoadResult simulateTrafficLoad(const ExplicitScg &Net, CommModel Model,
                                       const WorkloadSpec &Spec,
                                       uint64_t Steps,

@@ -76,6 +76,72 @@ TEST(Simulator, StepCapReportsIncomplete) {
   EXPECT_EQ(R.Delivered, 3u);
 }
 
+// Bad input to the simulator's public entry points is rejected with a
+// reported error, never an assert or an out-of-range queue index.
+
+TEST(SimulatorInput, DimensionCycleMustBeNonemptyAndInRange) {
+  ExplicitScg Net(SuperCayleyGraph::star(4)); // degree 3.
+  NetworkSimulator Sim(Net, CommModel::SingleDimension);
+  EXPECT_THROW(Sim.setDimensionCycle({}), std::invalid_argument);
+  EXPECT_THROW(Sim.setDimensionCycle({0, 3}), std::invalid_argument);
+  EXPECT_THROW(Sim.setDimensionCycle({200}), std::invalid_argument);
+  // A rejected cycle leaves the previous one in place.
+  Sim.injectPacket(0, {2});
+  EXPECT_TRUE(Sim.run(10).Completed);
+}
+
+TEST(SimulatorInput, InjectPacketRejectsBadSourceHopOrFlits) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  NetworkSimulator Sim(Net, CommModel::AllPort);
+  EXPECT_THROW(Sim.injectPacket(Net.numNodes(), {0}), std::invalid_argument);
+  EXPECT_THROW(Sim.injectPacket(0, {0}, /*FlitCount=*/0),
+               std::invalid_argument);
+  EXPECT_THROW(Sim.injectPacket(0, {0, 3}), std::invalid_argument);
+  // Nothing was half-injected.
+  SimulationResult R = Sim.run(10);
+  EXPECT_EQ(R.Delivered, 0u);
+  EXPECT_EQ(R.Steps, 0u);
+}
+
+TEST(SimulatorInput, ScheduleInjectionRejectsBadSourceHopOrFlits) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  NetworkSimulator Sim(Net, CommModel::SinglePort);
+  EXPECT_THROW(Sim.scheduleInjection(0, Net.numNodes(), {0}),
+               std::invalid_argument);
+  EXPECT_THROW(Sim.scheduleInjection(0, 0, {0}, /*FlitCount=*/0),
+               std::invalid_argument);
+  EXPECT_THROW(Sim.scheduleInjection(5, 0, {1, 7}), std::invalid_argument);
+  EXPECT_EQ(Sim.scheduleInjection(1, 0, {1}), 0u); // ids stay contiguous.
+}
+
+TEST(SimulatorInput, SharedRoutesAreValidatedOnceAndHandlesChecked) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  NetworkSimulator Sim(Net, CommModel::AllPort);
+  const std::vector<GenIndex> Bad = {0, 3};
+  EXPECT_THROW(Sim.addSharedRoute(Bad), std::invalid_argument);
+  const std::vector<GenIndex> Good = {0, 1};
+  uint32_t Handle = Sim.addSharedRoute(Good);
+  EXPECT_EQ(Handle, 0u);
+  EXPECT_THROW(Sim.scheduleInjectionShared(0, 0, Handle + 1),
+               std::invalid_argument);
+  EXPECT_THROW(Sim.scheduleInjectionShared(0, Net.numNodes(), Handle),
+               std::invalid_argument);
+  EXPECT_THROW(Sim.scheduleInjectionShared(0, 0, Handle, /*FlitCount=*/0),
+               std::invalid_argument);
+  Sim.scheduleInjectionShared(0, 0, Handle);
+  SimulationResult R = Sim.run(10);
+  EXPECT_TRUE(R.Completed);
+  EXPECT_EQ(R.Delivered, 1u);
+}
+
+TEST(SimulatorInput, RunsOnce) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  NetworkSimulator Sim(Net, CommModel::AllPort);
+  Sim.injectPacket(0, {0});
+  Sim.run(10);
+  EXPECT_THROW(Sim.run(10), std::logic_error);
+}
+
 TEST(BroadcastTreeTest, CoversNetworkAtBfsDepth) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
   BroadcastTree Tree(Net);

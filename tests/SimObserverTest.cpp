@@ -204,6 +204,9 @@ TEST(SimObserver, ResultsIdenticalWithAndWithoutObservers) {
     ASSERT_TRUE(Bare.Completed) << commModelName(Model);
     EXPECT_TRUE(sameResult(Bare, Instrumented)) << commModelName(Model);
     EXPECT_TRUE(sameResult(Bare, ForcedRun)) << commModelName(Model);
+    EXPECT_EQ(Bare.TouchedWork, Instrumented.TouchedWork)
+        << commModelName(Model);
+    EXPECT_EQ(Bare.TouchedWork, ForcedRun.TouchedWork) << commModelName(Model);
     EXPECT_TRUE(Checker.clean()) << commModelName(Model) << "\n"
                                  << Checker.report();
     // The metrics recomputed the same totals from the event stream.

@@ -4,13 +4,16 @@
 // optimization: simulateTrafficLoad with BatchedSetup must produce the
 // SAME TrafficLoadResult -- every field except the wall-clock
 // SetupSeconds -- as the legacy serial per-pair loop, across families,
-// communication models, engines, and thread counts. The closed-loop
-// source rides the same harness: step and event engines must agree on
-// every deferral, and results must be byte-identical at 1, 2, and 8
-// threads (the parallel batch chunking is a function of the batch length
-// only, never the thread count).
+// communication models and thread counts, and as a replay of the same
+// trace on the full-scan reference loop (tests/ReferenceSimulator.h). The
+// closed-loop source rides the same harness: the engine and the reference
+// must agree on every deferral, and results must be byte-identical at 1,
+// 2, and 8 threads (the parallel batch chunking is a function of the
+// batch length only, never the thread count).
 //
 //===----------------------------------------------------------------------===//
+
+#include "ReferenceSimulator.h"
 
 #include "comm/Workload.h"
 #include "support/ThreadPool.h"
@@ -98,36 +101,28 @@ TEST(TrafficSetupDifferential, BatchedMatchesLegacyAcrossFamiliesModels) {
 }
 
 TEST(TrafficSetupDifferential, BatchedMatchesLegacyOnStepEngine) {
-  // The batched arena feeds scheduleInjectionShared; the step engine walks
-  // the same flat route pool through a different loop. Pin the pair that
-  // the model sweep above does not cover: batched-vs-legacy under the
-  // step engine.
+  // The batched arena feeds scheduleInjectionShared into the engine; the
+  // reference replay routes every pair with the scalar router and runs
+  // the full-scan step loop. Every field but SetupSeconds must agree.
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  TrafficLoadOptions Batched;
-  Batched.Engine = SimEngine::Step;
-  TrafficLoadOptions Legacy;
-  Legacy.Engine = SimEngine::Step;
-  Legacy.BatchedSetup = false;
   TrafficLoadResult A = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                            uniformAt(0.3), 150, Batched);
-  TrafficLoadResult B = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                            uniformAt(0.3), 150, Legacy);
-  expectSameLoad(A, B, "step engine");
+                                            uniformAt(0.3), 150);
+  TrafficLoadResult B = referenceTrafficLoad(Net, CommModel::SinglePort,
+                                             uniformAt(0.3), 150);
+  expectSameLoad(A, B, "reference step loop");
 }
 
 TEST(TrafficSetupDifferential, BatchedSetupThreadCountInvariant) {
   // routeBatchRelative chunks by batch length only; the composed driver
   // result must be byte-identical at every thread count.
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  TrafficLoadOptions Opts;
-  Opts.Shards = 4;
   setGlobalThreadCount(1);
   TrafficLoadResult Base = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                               uniformAt(0.25), 120, Opts);
+                                               uniformAt(0.25), 120);
   for (unsigned Threads : {2u, 8u}) {
     setGlobalThreadCount(Threads);
     TrafficLoadResult R = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                              uniformAt(0.25), 120, Opts);
+                                              uniformAt(0.25), 120);
     expectSameLoad(Base, R,
                    (std::to_string(Threads) + " threads").c_str());
   }
@@ -136,43 +131,25 @@ TEST(TrafficSetupDifferential, BatchedSetupThreadCountInvariant) {
 
 TEST(TrafficSetupDifferential, ClosedLoopEngineAndThreadIdentity) {
   // Closed-loop admission (deferral, retry, depth accounting) must agree
-  // between the step and event engines and across thread counts, in a
-  // regime where throttling actually engages.
+  // between the engine and the reference loop and across thread counts,
+  // in a regime where throttling actually engages.
   ExplicitScg Net(SuperCayleyGraph::star(4));
   WorkloadSpec Spec = uniformAt(0.5);
-  TrafficLoadOptions Step;
-  Step.Engine = SimEngine::Step;
-  Step.ClosedLoopMaxQueue = 2;
-  TrafficLoadOptions Event;
-  Event.ClosedLoopMaxQueue = 2;
-  Event.Shards = 4;
+  TrafficLoadOptions Closed;
+  Closed.ClosedLoopMaxQueue = 2;
   for (CommModel Model :
        {CommModel::AllPort, CommModel::SinglePort,
         CommModel::SingleDimension}) {
     setGlobalThreadCount(1);
-    TrafficLoadResult A = simulateTrafficLoad(Net, Model, Spec, 200, Step);
-    TrafficLoadResult B = simulateTrafficLoad(Net, Model, Spec, 200, Event);
+    TrafficLoadResult A = simulateTrafficLoad(Net, Model, Spec, 200, Closed);
+    TrafficLoadResult Ref = referenceTrafficLoad(Net, Model, Spec, 200, 2);
     // Throttling must have engaged, or this test pins nothing.
     EXPECT_GT(A.Sim.DeferredInjections, 0u) << commModelName(Model);
-    // Engines agree on everything except MeanQueued, whose "over active
-    // steps" denominator is the engine's processed-step count by
-    // definition (the event engine skips empty steps).
-    EXPECT_EQ(A.Sim.Delivered, B.Sim.Delivered) << commModelName(Model);
-    EXPECT_EQ(A.Sim.Transmissions, B.Sim.Transmissions)
-        << commModelName(Model);
-    EXPECT_EQ(A.Sim.MaxQueueLength, B.Sim.MaxQueueLength)
-        << commModelName(Model);
-    EXPECT_EQ(A.Sim.DeferredInjections, B.Sim.DeferredInjections)
-        << commModelName(Model);
-    EXPECT_EQ(A.Sim.DeferredSteps, B.Sim.DeferredSteps)
-        << commModelName(Model);
-    EXPECT_EQ(A.MeanLatency, B.MeanLatency) << commModelName(Model);
-    EXPECT_EQ(A.P99Latency, B.P99Latency) << commModelName(Model);
-    // And the event engine is thread-count invariant under closed loop.
+    expectSameLoad(A, Ref, (commModelName(Model) + " vs reference").c_str());
     for (unsigned Threads : {2u, 8u}) {
       setGlobalThreadCount(Threads);
-      TrafficLoadResult C = simulateTrafficLoad(Net, Model, Spec, 200, Event);
-      expectSameLoad(B, C,
+      TrafficLoadResult C = simulateTrafficLoad(Net, Model, Spec, 200, Closed);
+      expectSameLoad(A, C,
                      (commModelName(Model) + " @" + std::to_string(Threads))
                          .c_str());
     }
