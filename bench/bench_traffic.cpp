@@ -27,8 +27,8 @@
 //   --maxk <k>   largest star dimension swept, in [4, 8] (default 6; the
 //                committed JSON is generated with --maxk 8)
 //   --smoke      bounded checks: driver == reference-loop replay on every
-//                model (open and closed loop), batched == legacy setup
-//                result identity, >= 5x batched-setup speedup over the
+//                model (open and closed loop on star(4), open on
+//                star(5)), >= 5x batched-setup speedup over the
 //                old pair-keyed serial loop at k = 6, closed-loop
 //                thread-count invariance, >= 2x full-scan/engine work
 //                ratio on the sparse-tail regime, wall-clock engine <=
@@ -360,21 +360,16 @@ int runSmoke(bool Json, unsigned MaxK) {
     }
   }
 
-  // Batched setup is a pure optimization: byte-identical driver results
-  // to the legacy serial path, across models.
+  // The deduped, batched route setup is a pure optimization: the driver
+  // equals a replay with one scalar route per pair, across models.
   for (CommModel Model :
        {CommModel::AllPort, CommModel::SinglePort,
         CommModel::SingleDimension}) {
     ExplicitScg Net(SuperCayleyGraph::star(5));
-    TrafficLoadOptions Batched;
-    TrafficLoadOptions Legacy;
-    Legacy.BatchedSetup = false;
-    TrafficLoadResult A =
-        simulateTrafficLoad(Net, Model, uniformAt(0.2), 200, Batched);
-    TrafficLoadResult B =
-        simulateTrafficLoad(Net, Model, uniformAt(0.2), 200, Legacy);
+    TrafficLoadResult A = simulateTrafficLoad(Net, Model, uniformAt(0.2), 200);
+    TrafficLoadResult B = referenceTrafficLoad(Net, Model, uniformAt(0.2), 200);
     char Name[64];
-    std::snprintf(Name, sizeof(Name), "%s batched == legacy setup",
+    std::snprintf(Name, sizeof(Name), "%s driver == reference loop",
                   modelName(Model));
     Check(Name, sameLoad(A, B));
   }

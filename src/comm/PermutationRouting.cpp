@@ -2,12 +2,12 @@
 
 #include "comm/PermutationRouting.h"
 
-#include "emulation/ScgRouter.h"
+#include "comm/LiftedRoutes.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
-#include <map>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -42,31 +42,44 @@ scg::simulatePermutationRouting(const ExplicitScg &Net,
                                 const TrafficPattern &Pattern,
                                 CommModel Model,
                                 const std::vector<SimObserver *> &Observers) {
-  assert(Pattern.size() == Net.numNodes() && "pattern must cover all nodes");
-  const SuperCayleyGraph &Host = Net.network();
+  const NodeId Count = Net.numNodes();
+  if (Pattern.size() != Count)
+    throw std::invalid_argument("pattern has " +
+                                std::to_string(Pattern.size()) +
+                                " entries for " + std::to_string(Count) +
+                                " nodes");
+  for (NodeId Dst : Pattern)
+    if (Dst >= Count)
+      throw std::invalid_argument("pattern entry " + std::to_string(Dst) +
+                                  " is not a node");
+
+  // One lifted route per moving node, in node order.
+  std::vector<NodeId> Srcs;
+  std::vector<Permutation> Rels;
+  for (NodeId U = 0; U != Count; ++U) {
+    if (Pattern[U] == U)
+      continue;
+    Srcs.push_back(U);
+    Rels.push_back(Net.label(U).inverse().compose(Net.label(Pattern[U])));
+  }
+  RouteArena Routes = liftedRoutes(Net.network(), Rels);
 
   PermutationRoutingResult Result;
   NetworkSimulator Sim(Net, Model);
   for (SimObserver *O : Observers)
     Sim.addObserver(O);
-  std::map<std::pair<NodeId, GenIndex>, uint64_t> Load;
-  uint64_t HopTotal = 0;
+  std::vector<uint64_t> Load(size_t(Count) * Net.degree(), 0);
   unsigned Longest = 0;
-  uint64_t Injected = 0;
-  for (NodeId U = 0; U != Net.numNodes(); ++U) {
-    if (Pattern[U] == U)
-      continue;
-    GeneratorPath Path =
-        routeViaStarEmulation(Host, Net.label(U), Net.label(Pattern[U]));
-    NodeId At = U;
-    for (GenIndex G : Path.hops()) {
-      Result.MaxLinkLoad = std::max(Result.MaxLinkLoad, ++Load[{At, G}]);
+  for (size_t I = 0; I != Srcs.size(); ++I) {
+    std::span<const GenIndex> Route = Routes.route(I);
+    NodeId At = Srcs[I];
+    for (GenIndex G : Route) {
+      Result.MaxLinkLoad =
+          std::max(Result.MaxLinkLoad, ++Load[size_t(At) * Net.degree() + G]);
       At = Net.next(At, G);
     }
-    HopTotal += Path.length();
-    Longest = std::max(Longest, Path.length());
-    Sim.injectPacket(U, Path.hops());
-    ++Injected;
+    Longest = std::max(Longest, Routes.length(I));
+    Sim.injectPacket(Srcs[I], {Route.begin(), Route.end()});
   }
 
   SimulationResult Run =
@@ -78,7 +91,7 @@ scg::simulatePermutationRouting(const ExplicitScg &Net,
                      ? double(Result.Steps) / double(Result.LowerBound)
                      : 0.0;
   Result.AverageRouteLength =
-      Injected ? double(HopTotal) / double(Injected) : 0.0;
+      Srcs.empty() ? 0.0 : double(Routes.Hops.size()) / double(Srcs.size());
   return Result;
 }
 
@@ -86,7 +99,7 @@ std::vector<PermutationRoutingResult>
 scg::simulatePermutationRoutingBatch(const ExplicitScg &Net,
                                      const std::vector<TrafficPattern> &Patterns,
                                      CommModel Model) {
-  // Each pattern gets its own NetworkSimulator and load map; the shared
+  // Each pattern gets its own NetworkSimulator and load vector; the shared
   // ExplicitScg is read-only after construction, so instances are
   // independent. One chunk per pattern: a whole simulation is coarse work.
   std::vector<PermutationRoutingResult> Results(Patterns.size());

@@ -49,10 +49,12 @@ struct PermutationRoutingResult {
 
 class SimObserver;
 
-/// Routes \p Pattern on \p Net under \p Model via lifted star routes;
-/// requires supportsStarEmulation(Net.network()). Any \p Observers are
-/// attached to the underlying NetworkSimulator for the run (results are
-/// unaffected; see comm/SimObserver.h).
+/// Routes \p Pattern on \p Net under \p Model via lifted star routes, all
+/// computed in one liftedRoutes batch (comm/LiftedRoutes.h). Throws
+/// std::invalid_argument unless \p Pattern has one entry per node, every
+/// entry is a node, and supportsStarEmulation(Net.network()). Any
+/// \p Observers are attached to the underlying NetworkSimulator for the
+/// run (results are unaffected; see comm/SimObserver.h).
 PermutationRoutingResult
 simulatePermutationRouting(const ExplicitScg &Net,
                            const TrafficPattern &Pattern,

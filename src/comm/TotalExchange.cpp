@@ -2,10 +2,11 @@
 
 #include "comm/TotalExchange.h"
 
-#include "emulation/ScgRouter.h"
+#include "comm/LiftedRoutes.h"
 #include "graph/Bfs.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -20,23 +21,26 @@ uint64_t scg::teLowerBound(const ExplicitScg &Net) {
 TeResult scg::simulateTotalExchange(const ExplicitScg &Net,
                                     CommModel Model) {
   uint64_t N = Net.numNodes();
-  assert(N <= 720 && "total exchange is quadratic in N; keep k <= 6");
-  const SuperCayleyGraph &Host = Net.network();
-  Permutation Identity = Permutation::identity(Host.numSymbols());
+  if (N > 720)
+    throw std::invalid_argument(
+        "total exchange is quadratic in N; keep N <= 720 (k <= 6), got " +
+        std::to_string(N));
 
-  // Routes depend only on the relative permutation: precompute N-1 words.
-  std::vector<std::vector<GenIndex>> RouteByRel(N);
-  uint64_t HopTotal = 0;
-  for (NodeId Rel = 1; Rel != N; ++Rel) {
-    RouteByRel[Rel] =
-        routeViaStarEmulation(Host, Identity, Net.label(Rel)).hops();
-    HopTotal += RouteByRel[Rel].size();
-  }
+  // Routes depend only on the relative label, and every label but node
+  // 0's (the identity) is one: route labels 1..N-1 once, send each route
+  // from every source.
+  std::vector<Permutation> Rels;
+  Rels.reserve(N - 1);
+  for (NodeId Rel = 1; Rel != N; ++Rel)
+    Rels.push_back(Net.label(Rel));
+  RouteArena Routes = liftedRoutes(Net.network(), Rels);
 
   NetworkSimulator Sim(Net, Model);
   for (NodeId S = 0; S != N; ++S)
-    for (NodeId Rel = 1; Rel != N; ++Rel)
-      Sim.injectPacket(S, RouteByRel[Rel]);
+    for (size_t I = 0; I != Rels.size(); ++I) {
+      std::span<const GenIndex> Route = Routes.route(I);
+      Sim.injectPacket(S, {Route.begin(), Route.end()});
+    }
 
   SimulationResult Run = Sim.run(/*MaxSteps=*/N * 64);
   assert(Run.Completed && "total exchange did not complete");
@@ -49,6 +53,6 @@ TeResult scg::simulateTotalExchange(const ExplicitScg &Net,
                      ? double(Result.Steps) / double(Result.LowerBound)
                      : 0.0;
   Result.LinkUtilization = Run.LinkUtilization;
-  Result.AverageRouteLength = double(HopTotal) / double(N - 1);
+  Result.AverageRouteLength = double(Routes.Hops.size()) / double(N - 1);
   return Result;
 }

@@ -33,8 +33,9 @@ struct TeResult {
 
 /// Simulates the TE on \p Net under \p Model. Routes use the optimal star
 /// route lifted through the host's emulation templates (plain star routes
-/// on the star graph itself); requires supportsStarEmulation(). N <= 720
-/// is asserted (the task is quadratic in N).
+/// on the star graph itself), one liftedRoutes batch over the N-1 relative
+/// labels. Throws std::invalid_argument when N > 720 (the task is
+/// quadratic in N) or the family has no star emulation.
 TeResult simulateTotalExchange(const ExplicitScg &Net,
                                CommModel Model = CommModel::AllPort);
 

@@ -6,8 +6,7 @@
 
 #include "comm/Workload.h"
 
-#include "emulation/ScgRouter.h"
-#include "query/QueryEngine.h"
+#include "comm/LiftedRoutes.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
 
@@ -15,6 +14,7 @@
 #include <cassert>
 #include <chrono>
 #include <numeric>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -55,8 +55,25 @@ NodeId WorkloadGenerator::bitReversalDestination(NodeId U, NodeId Count) {
 WorkloadGenerator::WorkloadGenerator(const ExplicitScg &Net,
                                      const WorkloadSpec &Spec)
     : Net(Net), Spec(Spec) {
-  assert(Net.numNodes() >= 2 && "workloads need at least two nodes");
-  assert(Spec.InjectionRate >= 0.0 && "negative injection rate");
+  // The range tests are written so that NaN fails them.
+  if (Net.numNodes() < 2)
+    throw std::invalid_argument("workloads need at least two nodes");
+  if (!(Spec.InjectionRate >= 0.0))
+    throw std::invalid_argument("injection rate must be >= 0");
+  if (Spec.Kind == WorkloadKind::Hotspot) {
+    if (!(Spec.HotspotFraction >= 0.0 && Spec.HotspotFraction <= 1.0))
+      throw std::invalid_argument("hotspot fraction must lie in [0, 1]");
+    if (Spec.HotspotNode >= Net.numNodes())
+      throw std::invalid_argument("hotspot node " +
+                                  std::to_string(Spec.HotspotNode) +
+                                  " is not a node");
+  }
+  if (Spec.Kind == WorkloadKind::BurstyUniform) {
+    if (!(Spec.BurstDutyCycle > 0.0 && Spec.BurstDutyCycle <= 1.0))
+      throw std::invalid_argument("burst duty cycle must lie in (0, 1]");
+    if (!(Spec.MeanBurstLength >= 1.0))
+      throw std::invalid_argument("mean burst length must be >= 1 step");
+  }
   if (Spec.Kind == WorkloadKind::Transpose) {
     for (NodeId U = 0; U != Net.numNodes(); ++U)
       FixedDest.push_back(transposeDestination(Net, U));
@@ -104,8 +121,6 @@ std::vector<TrafficEvent> WorkloadGenerator::generate(uint64_t Steps) const {
   double OnExit = 0.0, OffExit = 0.0, OnRate = 0.0;
   std::vector<uint8_t> On;
   if (Bursty) {
-    assert(Duty > 0.0 && Duty <= 1.0 && "duty cycle out of range");
-    assert(Spec.MeanBurstLength >= 1.0 && "mean burst below one step");
     OnExit = 1.0 / Spec.MeanBurstLength;
     double MeanOff = Spec.MeanBurstLength * (1.0 - Duty) / Duty;
     OffExit = MeanOff > 0.0 ? 1.0 / MeanOff : 1.0;
@@ -169,15 +184,11 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   if (Options.ClosedLoopMaxQueue)
     Sim.setClosedLoop(Options.ClosedLoopMaxQueue);
 
-  // Route setup. Routes are the lifted optimal star routes (as in
-  // permutation routing), and by Cayley symmetry a route depends only on
-  // the relative label Rel = label(src)^-1 o label(dst) -- left
-  // translation is an automorphism -- so the N^2 possible pairs collapse
-  // to at most numNodes distinct labels. Both paths below dedupe on that
-  // label (node ids ARE Lehmer ranks, so a flat slot vector indexes the
-  // dedup); they differ only in how the distinct routes are computed and
-  // stored, never in the trace they schedule.
-  const SuperCayleyGraph &Host = Net.network();
+  // Route setup. Routes are the lifted optimal star routes, and by Cayley
+  // symmetry a route depends only on the relative label
+  // Rel = label(src)^-1 o label(dst), so the N^2 possible pairs collapse to
+  // at most numNodes distinct labels. The dedup indexes a flat slot vector
+  // by the label's rank (node ids ARE Lehmer ranks).
   std::vector<uint64_t> InjectStep;
   std::vector<unsigned> Hops;
   InjectStep.reserve(Trace.size());
@@ -196,8 +207,8 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   for (NodeId U = 0; U != Count; ++U)
     InvLabels.push_back(Labels[U].inverse());
 
-  // Dedup pass: map each event to the slot of its relative label. Slot 0
-  // is reserved for the identity label (src == dst, zero-hop).
+  // Dedup pass: map each event to the slot of its relative label, or to
+  // NoSlot when src == dst (zero hops).
   constexpr uint32_t NoSlot = ~uint32_t(0);
   std::vector<uint32_t> LabelSlot(Count, NoSlot);
   std::vector<Permutation> Rels;
@@ -218,78 +229,27 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   }
   Result.DistinctLabels = Rels.size();
 
-  if (Options.BatchedSetup) {
-    // Batched: one QueryEngine batch over the global ThreadPool computes
-    // every distinct route into a flat arena (chunk boundaries are a
-    // function of the batch length only, so the arena is byte-identical
-    // at every thread count). The engine's cache is disabled: the driver
-    // already deduped, so caching could only add shard-lock traffic.
-    QueryEngineOptions QOpts;
-    QOpts.CacheCapacity = 0;
-    QueryEngine Engine(Host, QOpts);
-    RouteArena Arena = Engine.routeBatchRelative(Rels);
-#ifndef NDEBUG
-    // The batched routes must equal the legacy scalar ones hop for hop
-    // (both expand starWordForPermutation(Rel) through the Theorem 1-3
-    // dimension templates; this pins that neither side drifts).
-    for (size_t I = 0; I != Rels.size(); ++I) {
-      std::vector<GenIndex> Legacy =
-          routeViaStarEmulation(Host,
-                                Permutation::identity(Host.numSymbols()),
-                                Rels[I])
-              .hops();
-      std::span<const GenIndex> Batched = Arena.route(I);
-      assert(std::equal(Batched.begin(), Batched.end(), Legacy.begin(),
-                        Legacy.end()) &&
-             "batched route differs from legacy scalar route");
-    }
-#endif
-    // Register each distinct route once; every injection shares its
-    // label's pool segment instead of copying the hop vector.
-    std::vector<uint32_t> Handles;
-    Handles.reserve(Rels.size());
-    for (size_t I = 0; I != Rels.size(); ++I)
-      Handles.push_back(Sim.addSharedRoute(Arena.route(I)));
-    const std::vector<GenIndex> ZeroHop;
-    for (size_t I = 0; I != Trace.size(); ++I) {
-      const TrafficEvent &E = Trace[I];
-      uint32_t Slot = EventSlot[I];
-      uint32_t Id = Slot == NoSlot
-                        ? Sim.scheduleInjection(E.Step, E.Src, ZeroHop,
-                                                Spec.FlitCount)
-                        : Sim.scheduleInjectionShared(E.Step, E.Src,
-                                                      Handles[Slot],
-                                                      Spec.FlitCount);
-      assert(Id == InjectStep.size() && "packet ids not contiguous");
-      (void)Id;
-      InjectStep.push_back(E.Step);
-      Hops.push_back(Slot == NoSlot ? 0 : Arena.length(Slot));
-    }
-  } else {
-    // Legacy serial path: one scalar routeViaStarEmulation call per
-    // distinct label (historically keyed by (src, dst) -- the label
-    // re-key dedupes N^2 -> N without changing a single route).
-    std::vector<std::vector<GenIndex>> Routes;
-    Routes.reserve(Rels.size());
-    for (const Permutation &Rel : Rels)
-      Routes.push_back(
-          routeViaStarEmulation(Host,
-                                Permutation::identity(Host.numSymbols()),
-                                Rel)
-              .hops());
-    const std::vector<GenIndex> ZeroHop;
-    for (size_t I = 0; I != Trace.size(); ++I) {
-      const TrafficEvent &E = Trace[I];
-      uint32_t Slot = EventSlot[I];
-      const std::vector<GenIndex> &Route =
-          Slot == NoSlot ? ZeroHop : Routes[Slot];
-      uint32_t Id =
-          Sim.scheduleInjection(E.Step, E.Src, Route, Spec.FlitCount);
-      assert(Id == InjectStep.size() && "packet ids not contiguous");
-      (void)Id;
-      InjectStep.push_back(E.Step);
-      Hops.push_back(unsigned(Route.size()));
-    }
+  // One route per distinct label; each is registered with the simulator
+  // once and every injection shares its label's pool segment.
+  RouteArena Arena = liftedRoutes(Net.network(), Rels);
+  std::vector<uint32_t> Handles;
+  Handles.reserve(Rels.size());
+  for (size_t I = 0; I != Rels.size(); ++I)
+    Handles.push_back(Sim.addSharedRoute(Arena.route(I)));
+  const std::vector<GenIndex> ZeroHop;
+  for (size_t I = 0; I != Trace.size(); ++I) {
+    const TrafficEvent &E = Trace[I];
+    uint32_t Slot = EventSlot[I];
+    uint32_t Id = Slot == NoSlot
+                      ? Sim.scheduleInjection(E.Step, E.Src, ZeroHop,
+                                              Spec.FlitCount)
+                      : Sim.scheduleInjectionShared(E.Step, E.Src,
+                                                    Handles[Slot],
+                                                    Spec.FlitCount);
+    assert(Id == InjectStep.size() && "packet ids not contiguous");
+    (void)Id;
+    InjectStep.push_back(E.Step);
+    Hops.push_back(Slot == NoSlot ? 0 : Arena.length(Slot));
   }
   Result.SetupSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -347,7 +307,6 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
     Reg->counter("traffic.setup.route_hops")
         .add(std::accumulate(Hops.begin(), Hops.end(), uint64_t(0)));
     Reg->gauge("traffic.setup.dedup_factor").set(Result.DedupFactor);
-    Reg->gauge("traffic.setup.batched").set(Options.BatchedSetup ? 1.0 : 0.0);
     Reg->gauge("traffic.closedloop.max_queue")
         .set(double(Options.ClosedLoopMaxQueue));
     Reg->counter("traffic.closedloop.deferred_injections")
@@ -372,7 +331,6 @@ std::vector<std::string> scg::trafficMetricNames() {
           "traffic.setup.distinct_labels",
           "traffic.setup.route_hops",
           "traffic.setup.dedup_factor",
-          "traffic.setup.batched",
           "traffic.closedloop.max_queue",
           "traffic.closedloop.deferred_injections",
           "traffic.closedloop.deferred_steps"};

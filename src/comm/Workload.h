@@ -71,6 +71,10 @@ struct TrafficEvent {
 /// Deterministic generator of TrafficEvent traces.
 class WorkloadGenerator {
 public:
+  /// Throws std::invalid_argument on fewer than two nodes, an injection
+  /// rate that is negative or NaN, and, for the kind that reads them, a
+  /// hotspot node that is not a node, a hotspot fraction outside [0, 1], a
+  /// burst duty cycle outside (0, 1] or a mean burst length below 1.
   WorkloadGenerator(const ExplicitScg &Net, const WorkloadSpec &Spec);
 
   /// Generates the trace for steps [0, Steps), sorted by (Step, Src).
@@ -95,14 +99,6 @@ struct TrafficLoadOptions {
   unsigned Shards = 1;                 ///< no-op: the engine is serial.
   MetricsRegistry *Registry = nullptr; ///< optional traffic.* metrics sink.
   std::vector<SimObserver *> Observers; ///< extra observers to attach.
-  /// Batched route setup (the default): dedupe all (src, dst) pairs to
-  /// their relative labels (Cayley symmetry: at most numNodes distinct),
-  /// compute one route per label via QueryEngine::routeBatchRelative over
-  /// the global ThreadPool, and let every injection share its label's
-  /// route through the simulator's flat route arena. False selects the
-  /// legacy serial per-pair loop; traces and results are byte-identical
-  /// either way (the batched path only changes setup time and memory).
-  bool BatchedSetup = true;
   /// Nonzero makes the source closed-loop: an injection whose source node
   /// already has this many packets queued is deferred until the depth
   /// drops (see NetworkSimulator::setClosedLoop). Zero is open-loop.
@@ -130,19 +126,21 @@ struct TrafficLoadResult {
   double MeanQueued = 0.0;
   /// Setup telemetry. DistinctLabels and DedupFactor are deterministic
   /// (pure functions of the trace); SetupSeconds is wall-clock time of the
-  /// route-setup phase and is the ONLY field excluded from the
-  /// determinism contract.
+  /// route-setup phase (label dedup, route batch, route registration) and
+  /// is the ONLY field excluded from the determinism contract.
   uint64_t DistinctLabels = 0; ///< distinct relative labels routed.
   double DedupFactor = 0.0;    ///< Offered / DistinctLabels (0 if none).
   double SetupSeconds = 0.0;   ///< wall-clock route-setup time.
 };
 
-/// Offers \p Spec traffic to \p Net under \p Model for \p Steps steps
-/// (routes are the lifted optimal star routes, as in permutation routing)
-/// and reports what was delivered. Deterministic for fixed inputs at every
-/// thread count. Delivery steps and occupancy are read off the simulator
-/// after the run; no observer is attached unless Options.Observers names
-/// one.
+/// Offers \p Spec traffic to \p Net under \p Model for \p Steps steps and
+/// reports what was delivered. Each distinct relative label is routed once
+/// by liftedRoutes (comm/LiftedRoutes.h) and shared by its injections.
+/// Deterministic for fixed inputs at every thread count. Delivery steps
+/// and occupancy are read off the simulator after the run; no observer is
+/// attached unless Options.Observers names one. Throws
+/// std::invalid_argument on a spec the generator rejects or a family
+/// without star emulation.
 TrafficLoadResult simulateTrafficLoad(const ExplicitScg &Net, CommModel Model,
                                       const WorkloadSpec &Spec,
                                       uint64_t Steps,

@@ -1,8 +1,11 @@
 //===- tests/CommTest.cpp - Simulator, MNB, and TE tests -----------------===//
 
+#include "ReferenceSimulator.h"
+
 #include "comm/Mnb.h"
 #include "comm/Simulator.h"
 #include "comm/TotalExchange.h"
+#include "comm/Workload.h"
 
 #include "emulation/ScgRouter.h"
 #include "graph/Metrics.h"
@@ -210,6 +213,49 @@ TEST(TotalExchange, CompletesOnIs5) {
   TeResult R = simulateTotalExchange(Net);
   EXPECT_GE(R.Steps, R.LowerBound);
   EXPECT_LE(R.Ratio, 6.0);
+}
+
+TEST(TotalExchange, MatchesScalarRoutedReferenceReplay) {
+  // One batched route per relative label against one scalar router call
+  // per (source, destination) pair replayed on the full-scan reference
+  // loop: every result field.
+  for (auto Scg : {SuperCayleyGraph::star(5),
+                   SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2)}) {
+    ExplicitScg Net(Scg);
+    for (CommModel Model :
+         {CommModel::AllPort, CommModel::SinglePort,
+          CommModel::SingleDimension}) {
+      TeResult A = simulateTotalExchange(Net, Model);
+      TeResult B = referenceTotalExchange(Net, Model);
+      std::string What = Scg.name() + "/" + commModelName(Model);
+      EXPECT_EQ(A.Steps, B.Steps) << What;
+      EXPECT_EQ(A.Packets, B.Packets) << What;
+      EXPECT_EQ(A.LowerBound, B.LowerBound) << What;
+      EXPECT_EQ(A.Ratio, B.Ratio) << What;
+      EXPECT_EQ(A.LinkUtilization, B.LinkUtilization) << What;
+      EXPECT_EQ(A.AverageRouteLength, B.AverageRouteLength) << What;
+    }
+  }
+}
+
+// The comm drivers reject what they cannot route with a reported error.
+
+TEST(CommDriverInput, TotalExchangeRejectsMoreThan720Nodes) {
+  ExplicitScg Net(SuperCayleyGraph::star(7));
+  EXPECT_THROW(simulateTotalExchange(Net), std::invalid_argument);
+}
+
+TEST(CommDriverInput, TotalExchangeRejectsFamilyWithoutStarEmulation) {
+  ExplicitScg Net(SuperCayleyGraph::bubbleSort(4));
+  EXPECT_THROW(simulateTotalExchange(Net), std::invalid_argument);
+}
+
+TEST(CommDriverInput, TrafficLoadRejectsFamilyWithoutStarEmulation) {
+  ExplicitScg Net(SuperCayleyGraph::rotator(4));
+  WorkloadSpec Spec;
+  Spec.InjectionRate = 0.2;
+  EXPECT_THROW(simulateTrafficLoad(Net, CommModel::AllPort, Spec, 20),
+               std::invalid_argument);
 }
 
 TEST(CommModelNames, AreStable) {

@@ -1,5 +1,7 @@
 //===- tests/PermutationRoutingTest.cpp - Permutation traffic tests ------===//
 
+#include "ReferenceSimulator.h"
+
 #include "comm/PermutationRouting.h"
 
 #include <gtest/gtest.h>
@@ -66,4 +68,51 @@ TEST(PermutationRouting, SinglePortIsSlower) {
   uint64_t OnePort =
       simulatePermutationRouting(Net, P, CommModel::SinglePort).Steps;
   EXPECT_LE(AllPort, OnePort);
+}
+
+TEST(PermutationRouting, MatchesScalarRoutedReferenceReplay) {
+  // The driver's batched lifted routes, flat load vector and engine against
+  // a replay with one scalar router call per node, a (node, generator) load
+  // map and the full-scan reference loop: every result field.
+  for (auto Scg : {SuperCayleyGraph::star(5),
+                   SuperCayleyGraph::insertionSelection(5),
+                   SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2)}) {
+    ExplicitScg Net(Scg);
+    for (const TrafficPattern &P :
+         {randomTraffic(Net, 11), reversalTraffic(Net),
+          translationTraffic(Net, 1)}) {
+      for (CommModel Model :
+           {CommModel::AllPort, CommModel::SinglePort,
+            CommModel::SingleDimension}) {
+        PermutationRoutingResult A = simulatePermutationRouting(Net, P, Model);
+        PermutationRoutingResult B = referencePermutationRouting(Net, P, Model);
+        std::string What = Scg.name() + "/" + commModelName(Model);
+        EXPECT_EQ(A.Steps, B.Steps) << What;
+        EXPECT_EQ(A.LowerBound, B.LowerBound) << What;
+        EXPECT_EQ(A.Ratio, B.Ratio) << What;
+        EXPECT_EQ(A.AverageRouteLength, B.AverageRouteLength) << What;
+        EXPECT_EQ(A.MaxLinkLoad, B.MaxLinkLoad) << What;
+      }
+    }
+  }
+}
+
+TEST(PermutationRoutingInput, RejectsPatternOfWrongSize) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  TrafficPattern Short = reversalTraffic(Net);
+  Short.pop_back();
+  EXPECT_THROW(simulatePermutationRouting(Net, Short), std::invalid_argument);
+}
+
+TEST(PermutationRoutingInput, RejectsEntryThatIsNotANode) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  TrafficPattern P = reversalTraffic(Net);
+  P[3] = Net.numNodes();
+  EXPECT_THROW(simulatePermutationRouting(Net, P), std::invalid_argument);
+}
+
+TEST(PermutationRoutingInput, RejectsFamilyWithoutStarEmulation) {
+  ExplicitScg Net(SuperCayleyGraph::bubbleSort(4));
+  EXPECT_THROW(simulatePermutationRouting(Net, reversalTraffic(Net)),
+               std::invalid_argument);
 }

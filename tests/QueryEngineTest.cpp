@@ -11,6 +11,7 @@
 
 #include "query/QueryEngine.h"
 
+#include "emulation/ScgRouter.h"
 #include "emulation/SdcEmulation.h"
 #include "graph/MsBfs.h"
 #include "networks/Explicit.h"
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -34,6 +36,27 @@ namespace {
 struct QueryParams {
   NetworkKind Kind;
   unsigned L, N;
+};
+
+/// The family sweep (L * N + 1 symbols).
+const QueryParams FamilyParams[] = {
+    {NetworkKind::Star, 5, 1},
+    {NetworkKind::Star, 6, 1},
+    {NetworkKind::BubbleSort, 5, 1},
+    {NetworkKind::BubbleSort, 6, 1},
+    {NetworkKind::Transposition, 5, 1},
+    {NetworkKind::Rotator, 5, 1},
+    {NetworkKind::Rotator, 6, 1},
+    {NetworkKind::InsertionSelection, 5, 1},
+    {NetworkKind::MacroStar, 2, 2},
+    {NetworkKind::RotationStar, 2, 2},
+    {NetworkKind::CompleteRotationStar, 2, 2},
+    {NetworkKind::MacroIS, 2, 2},
+    {NetworkKind::RotationIS, 2, 2},
+    {NetworkKind::CompleteRotationIS, 2, 2},
+    {NetworkKind::MacroRotator, 2, 2},
+    {NetworkKind::RotationRotator, 2, 2},
+    {NetworkKind::CompleteRotationRotator, 2, 2},
 };
 
 SuperCayleyGraph makeNetwork(const QueryParams &P) {
@@ -193,6 +216,37 @@ TEST(QueryEngineTest, StarSevenMatchesStarRouter) {
               starRouteDimensions(Id, Dst).size());
     EXPECT_EQ(Tabled.route(Id, Dst).length(), Want);
   }
+}
+
+TEST(QueryEngineTest, BatchedRoutesMatchScalarRouterOnEveryLabel) {
+  // The comm drivers take every route from a cache-less routeBatchRelative
+  // (comm/LiftedRoutes.h); the scalar star-emulation router is the oracle.
+  // Every relative label of every star-emulating family with k <= 6 must
+  // get the same route hop for hop.
+  QueryEngineOptions NoCache;
+  NoCache.CacheCapacity = 0;
+  unsigned Families = 0;
+  for (const QueryParams &P : FamilyParams) {
+    SuperCayleyGraph Net = makeNetwork(P);
+    unsigned K = Net.numSymbols();
+    if (!supportsStarEmulation(Net) || K > 6)
+      continue;
+    ++Families;
+    std::vector<Permutation> Rels;
+    for (uint64_t R = 0; R != factorial(K); ++R)
+      Rels.push_back(unrankPermutation(R, K));
+    RouteArena Arena = QueryEngine(Net, NoCache).routeBatchRelative(Rels);
+    ASSERT_EQ(Arena.size(), Rels.size()) << Net.name();
+    Permutation Id = Permutation::identity(K);
+    for (size_t I = 0; I != Rels.size(); ++I) {
+      std::vector<GenIndex> Want =
+          routeViaStarEmulation(Net, Id, Rels[I]).hops();
+      std::span<const GenIndex> Got = Arena.route(I);
+      ASSERT_TRUE(std::equal(Got.begin(), Got.end(), Want.begin(), Want.end()))
+          << Net.name() << " label rank " << I;
+    }
+  }
+  EXPECT_EQ(Families, 9u); // star(6), TN(6), IS(6) and the six SCG classes.
 }
 
 TEST(QueryEngineTest, LiftedRouteWithinSlowdownBound) {
@@ -553,21 +607,5 @@ TEST(QueryEngineTest, FaultedTableFallsBackToTableFreeRoutes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Families, QueryEngineFamilyTest,
-    testing::Values(QueryParams{NetworkKind::Star, 5, 1},
-                    QueryParams{NetworkKind::Star, 6, 1},
-                    QueryParams{NetworkKind::BubbleSort, 5, 1},
-                    QueryParams{NetworkKind::BubbleSort, 6, 1},
-                    QueryParams{NetworkKind::Transposition, 5, 1},
-                    QueryParams{NetworkKind::Rotator, 5, 1},
-                    QueryParams{NetworkKind::Rotator, 6, 1},
-                    QueryParams{NetworkKind::InsertionSelection, 5, 1},
-                    QueryParams{NetworkKind::MacroStar, 2, 2},
-                    QueryParams{NetworkKind::RotationStar, 2, 2},
-                    QueryParams{NetworkKind::CompleteRotationStar, 2, 2},
-                    QueryParams{NetworkKind::MacroIS, 2, 2},
-                    QueryParams{NetworkKind::RotationIS, 2, 2},
-                    QueryParams{NetworkKind::CompleteRotationIS, 2, 2},
-                    QueryParams{NetworkKind::MacroRotator, 2, 2},
-                    QueryParams{NetworkKind::RotationRotator, 2, 2},
-                    QueryParams{NetworkKind::CompleteRotationRotator, 2, 2}),
+    testing::ValuesIn(FamilyParams),
     queryName);

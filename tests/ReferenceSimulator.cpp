@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <set>
 
 using namespace scg;
@@ -338,5 +339,63 @@ TrafficLoadResult scg::referenceTrafficLoad(const ExplicitScg &Net,
   }
   if (R.Sim.Steps)
     R.MeanQueued = double(Sim.queuedPacketSum()) / double(R.Sim.Steps);
+  return R;
+}
+
+PermutationRoutingResult
+scg::referencePermutationRouting(const ExplicitScg &Net,
+                                 const TrafficPattern &Pattern,
+                                 CommModel Model) {
+  ReferenceSimulator Sim(Net, Model);
+  PermutationRoutingResult R;
+  std::map<std::pair<NodeId, GenIndex>, uint64_t> Load;
+  uint64_t HopTotal = 0, Injected = 0;
+  unsigned Longest = 0;
+  for (NodeId U = 0; U != Net.numNodes(); ++U) {
+    if (Pattern[U] == U)
+      continue;
+    GeneratorPath Path = routeViaStarEmulation(Net.network(), Net.label(U),
+                                               Net.label(Pattern[U]));
+    NodeId At = U;
+    for (GenIndex G : Path.hops()) {
+      R.MaxLinkLoad = std::max(R.MaxLinkLoad, ++Load[{At, G}]);
+      At = Net.next(At, G);
+    }
+    HopTotal += Path.length();
+    Longest = std::max(Longest, Path.length());
+    Sim.injectPacket(U, Path.hops());
+    ++Injected;
+  }
+  R.Steps = Sim.run(uint64_t(Net.numNodes()) * Net.degree() * 8).Steps;
+  R.LowerBound = std::max<uint64_t>(Longest, R.MaxLinkLoad);
+  R.Ratio = R.LowerBound ? double(R.Steps) / double(R.LowerBound) : 0.0;
+  R.AverageRouteLength =
+      Injected ? double(HopTotal) / double(Injected) : 0.0;
+  return R;
+}
+
+TeResult scg::referenceTotalExchange(const ExplicitScg &Net,
+                                     CommModel Model) {
+  const uint64_t N = Net.numNodes();
+  ReferenceSimulator Sim(Net, Model);
+  uint64_t HopTotal = 0;
+  // The driver's injection order: source-major, then relative label rank
+  // (destination label(S) o label(Rel)).
+  for (NodeId S = 0; S != N; ++S)
+    for (NodeId Rel = 1; Rel != N; ++Rel) {
+      Permutation Dst = Net.label(S).compose(Net.label(Rel));
+      GeneratorPath Path =
+          routeViaStarEmulation(Net.network(), Net.label(S), Dst);
+      HopTotal += Path.length();
+      Sim.injectPacket(S, Path.hops());
+    }
+  SimulationResult Run = Sim.run(N * 64);
+  TeResult R;
+  R.Steps = Run.Steps;
+  R.Packets = N * (N - 1);
+  R.LowerBound = teLowerBound(Net);
+  R.Ratio = R.LowerBound ? double(R.Steps) / double(R.LowerBound) : 0.0;
+  R.LinkUtilization = Run.LinkUtilization;
+  R.AverageRouteLength = double(HopTotal) / double(N * (N - 1));
   return R;
 }

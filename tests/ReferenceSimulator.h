@@ -18,7 +18,9 @@
 #ifndef SCG_TESTS_REFERENCESIMULATOR_H
 #define SCG_TESTS_REFERENCESIMULATOR_H
 
+#include "comm/PermutationRouting.h"
 #include "comm/Simulator.h"
+#include "comm/TotalExchange.h"
 #include "comm/Workload.h"
 
 #include <deque>
@@ -124,6 +126,19 @@ TrafficLoadResult referenceTrafficLoad(const ExplicitScg &Net,
                                        const WorkloadSpec &Spec,
                                        uint64_t Steps,
                                        uint64_t ClosedLoopMaxQueue = 0);
+
+/// simulatePermutationRouting replayed on the reference loop: one scalar
+/// routeViaStarEmulation call per moving node on the absolute labels, link
+/// loads counted in a (node, generator) map, every result field recomputed.
+PermutationRoutingResult
+referencePermutationRouting(const ExplicitScg &Net,
+                            const TrafficPattern &Pattern, CommModel Model);
+
+/// simulateTotalExchange replayed on the reference loop: one scalar
+/// routeViaStarEmulation call per (source, destination) pair on the
+/// absolute labels, injected in the driver's order, every result field
+/// recomputed (LowerBound through teLowerBound).
+TeResult referenceTotalExchange(const ExplicitScg &Net, CommModel Model);
 
 } // namespace scg
 

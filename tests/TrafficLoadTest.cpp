@@ -167,7 +167,6 @@ TEST(TrafficLoad, MetricsRegistryReceivesTrafficSeries) {
             double(R.DistinctLabels));
   EXPECT_EQ(Reg.find("traffic.setup.events")->value(), double(R.Offered));
   EXPECT_EQ(Reg.find("traffic.setup.dedup_factor")->value(), R.DedupFactor);
-  EXPECT_EQ(Reg.find("traffic.setup.batched")->value(), 1.0);
   // Open-loop run: the closed-loop series exist and sit at zero.
   ASSERT_NE(Reg.find("traffic.closedloop.deferred_injections"), nullptr);
   EXPECT_EQ(Reg.find("traffic.closedloop.deferred_injections")->value(), 0.0);

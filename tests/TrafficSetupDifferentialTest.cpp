@@ -1,15 +1,16 @@
-//===- tests/TrafficSetupDifferentialTest.cpp - Batched == legacy --------===//
+//===- tests/TrafficSetupDifferentialTest.cpp - Driver == replay ---------===//
 //
-// The batched, label-deduped, arena-backed route setup is a pure
-// optimization: simulateTrafficLoad with BatchedSetup must produce the
-// SAME TrafficLoadResult -- every field except the wall-clock
-// SetupSeconds -- as the legacy serial per-pair loop, across families,
-// communication models and thread counts, and as a replay of the same
-// trace on the full-scan reference loop (tests/ReferenceSimulator.h). The
-// closed-loop source rides the same harness: the engine and the reference
-// must agree on every deferral, and results must be byte-identical at 1,
-// 2, and 8 threads (the parallel batch chunking is a function of the
-// batch length only, never the thread count).
+// The traffic driver's label-deduped route setup (one liftedRoutes batch,
+// routes shared through the simulator's route pool) is a pure
+// optimization: simulateTrafficLoad must produce the SAME
+// TrafficLoadResult -- every field except the wall-clock SetupSeconds --
+// as a replay of the same trace with one scalar router call per pair on
+// the full-scan reference loop (tests/ReferenceSimulator.h), across
+// families, communication models and thread counts. The closed-loop
+// source rides the same harness: the engine and the reference must agree
+// on every deferral, and results must be byte-identical at 1, 2, and 8
+// threads (the parallel batch chunking is a function of the batch length
+// only, never the thread count).
 //
 //===----------------------------------------------------------------------===//
 
@@ -79,18 +80,14 @@ TEST(TrafficSetupDifferential, BatchedMatchesLegacyAcrossFamiliesModels) {
     for (CommModel Model :
          {CommModel::AllPort, CommModel::SinglePort,
           CommModel::SingleDimension}) {
-      TrafficLoadOptions Batched;
-      TrafficLoadOptions Legacy;
-      Legacy.BatchedSetup = false;
-      TrafficLoadResult A = simulateTrafficLoad(Net, Model, uniformAt(C.Rate),
-                                                C.Steps, Batched);
-      TrafficLoadResult B = simulateTrafficLoad(Net, Model, uniformAt(C.Rate),
-                                                C.Steps, Legacy);
+      TrafficLoadResult A =
+          simulateTrafficLoad(Net, Model, uniformAt(C.Rate), C.Steps);
+      TrafficLoadResult B =
+          referenceTrafficLoad(Net, Model, uniformAt(C.Rate), C.Steps);
       std::string What = C.Family.name() + "/" + commModelName(Model);
       expectSameLoad(A, B, What.c_str());
-      // The dedup bookkeeping is shared by both paths and must be sane:
-      // at most one distinct label per node (Cayley symmetry), at most
-      // one per offered message.
+      // The dedup bookkeeping must be sane: at most one distinct label per
+      // node (Cayley symmetry), at most one per offered message.
       EXPECT_LE(A.DistinctLabels, uint64_t(Net.numNodes()));
       EXPECT_LE(A.DistinctLabels, A.Offered);
       if (A.DistinctLabels)

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <limits>
 #include <map>
 
 using namespace scg;
@@ -225,4 +226,59 @@ TEST(Workload, SeedsReproduceAndDistinguishTraces) {
     EXPECT_TRUE(Differs) << workloadKindName(Kind)
                          << ": different seeds, same trace";
   }
+}
+
+// Bad specs are rejected with a reported error at construction. (A network
+// with fewer than two nodes is rejected too, but no family builds one.)
+
+TEST(WorkloadInput, HotspotNodeMustBeANode) {
+  ExplicitScg Net = star4();
+  WorkloadSpec Spec;
+  Spec.Kind = WorkloadKind::Hotspot;
+  Spec.HotspotNode = Net.numNodes();
+  EXPECT_THROW((void)WorkloadGenerator(Net, Spec), std::invalid_argument);
+  // Before the check, the driver read the label of the missing node.
+  EXPECT_THROW(simulateTrafficLoad(Net, CommModel::AllPort, Spec, 10),
+               std::invalid_argument);
+}
+
+TEST(WorkloadInput, InjectionRateMustBeNonNegativeNumber) {
+  ExplicitScg Net = star4();
+  WorkloadSpec Spec;
+  Spec.InjectionRate = -0.1;
+  EXPECT_THROW((void)WorkloadGenerator(Net, Spec), std::invalid_argument);
+  Spec.InjectionRate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)WorkloadGenerator(Net, Spec), std::invalid_argument);
+}
+
+TEST(WorkloadInput, HotspotFractionMustLieInUnitInterval) {
+  ExplicitScg Net = star4();
+  WorkloadSpec Spec;
+  Spec.Kind = WorkloadKind::Hotspot;
+  Spec.HotspotFraction = -0.5;
+  EXPECT_THROW((void)WorkloadGenerator(Net, Spec), std::invalid_argument);
+  Spec.HotspotFraction = 1.5;
+  EXPECT_THROW((void)WorkloadGenerator(Net, Spec), std::invalid_argument);
+  Spec.HotspotFraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)WorkloadGenerator(Net, Spec), std::invalid_argument);
+}
+
+TEST(WorkloadInput, BurstDutyCycleMustLieInHalfOpenUnitInterval) {
+  ExplicitScg Net = star4();
+  WorkloadSpec Spec;
+  Spec.Kind = WorkloadKind::BurstyUniform;
+  Spec.BurstDutyCycle = 0.0;
+  EXPECT_THROW((void)WorkloadGenerator(Net, Spec), std::invalid_argument);
+  Spec.BurstDutyCycle = 1.5;
+  EXPECT_THROW((void)WorkloadGenerator(Net, Spec), std::invalid_argument);
+  Spec.BurstDutyCycle = 1.0; // always on is allowed.
+  EXPECT_NO_THROW((void)WorkloadGenerator(Net, Spec));
+}
+
+TEST(WorkloadInput, MeanBurstLengthMustBeAtLeastOneStep) {
+  ExplicitScg Net = star4();
+  WorkloadSpec Spec;
+  Spec.Kind = WorkloadKind::BurstyUniform;
+  Spec.MeanBurstLength = 0.5;
+  EXPECT_THROW((void)WorkloadGenerator(Net, Spec), std::invalid_argument);
 }
