@@ -30,7 +30,10 @@ TrafficPattern scg::reversalTraffic(const ExplicitScg &Net) {
 }
 
 TrafficPattern scg::translationTraffic(const ExplicitScg &Net, GenIndex G) {
-  assert(G < Net.degree() && "generator out of range");
+  if (G >= Net.degree())
+    throw std::invalid_argument("generator " + std::to_string(G) +
+                                " is out of range for degree " +
+                                std::to_string(Net.degree()));
   TrafficPattern Pattern(Net.numNodes());
   for (NodeId U = 0; U != Net.numNodes(); ++U)
     Pattern[U] = Net.next(U, G);

@@ -36,6 +36,7 @@ TrafficPattern randomTraffic(const ExplicitScg &Net, uint64_t Seed);
 TrafficPattern reversalTraffic(const ExplicitScg &Net);
 
 /// Translation pattern: u -> (label of u) composed with \p G's action.
+/// Throws std::invalid_argument when \p G is not below Net.degree().
 TrafficPattern translationTraffic(const ExplicitScg &Net, GenIndex G);
 
 /// Result of routing one traffic pattern.

@@ -3,11 +3,13 @@
 #include "graph/Faults.h"
 
 #include "graph/MsBfs.h"
+#include "support/Scratch.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
+#include <span>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -20,47 +22,17 @@ Graph scg::applyFaults(const Graph &G, const FaultSet &Faults) {
   return Out;
 }
 
-FaultAnalysis scg::analyzeUnderFaults(const Graph &G,
-                                      const FaultSet &Faults) {
-  FaultAnalysis Analysis;
-  std::vector<NodeId> Healthy;
-  Healthy.reserve(G.numNodes());
-  for (NodeId Node = 0; Node != G.numNodes(); ++Node)
-    if (!Faults.nodeFailed(Node))
-      Healthy.push_back(Node);
-  Analysis.HealthyNodes = Healthy.size();
-  if (Healthy.empty())
-    return Analysis;
+namespace {
 
-  // Healthy sources advance 64 per word through the bit-parallel BFS over
-  // the surviving graph (failed nodes keep their ids but have no links, so
-  // they are simply never reached). Batches run serially here: this whole
-  // analysis is already one scenario of a parallel sweep, and the early
-  // exit wants the node-order semantics of the scalar loop anyway.
-  Csr Surviving(applyFaults(G, Faults));
-  Analysis.Connected = true;
-  for (size_t Begin = 0; Begin < Healthy.size(); Begin += MsBfsLanes) {
-    size_t Count = std::min<size_t>(MsBfsLanes, Healthy.size() - Begin);
-    MsBfsBatch Batch =
-        msBfs(Surviving, std::span(Healthy).subspan(Begin, Count));
-    for (size_t Lane = 0; Lane != Count; ++Lane) {
-      if (Batch.NumReached[Lane] != Analysis.HealthyNodes) {
-        Analysis.Connected = false;
-        // Earlier lanes may have accumulated a nonzero maximum; the field
-        // is meaningless for a disconnected survivor, so zero it rather
-        // than leak a partial measurement.
-        Analysis.Diameter = 0;
-        return Analysis;
-      }
-      Analysis.Diameter =
-          std::max(Analysis.Diameter, Batch.Eccentricity[Lane]);
-    }
-  }
-  return Analysis;
-}
-
-ReachabilityAnalysis
-scg::analyzeReachabilityUnderFaults(const Graph &G, const FaultSet &Faults) {
+/// Shared engine of the two analyses: every healthy node is a BFS source,
+/// run 512 at a time through the fused direction-optimizing MS-BFS over
+/// the surviving graph (failed nodes keep their ids but have no links, so
+/// they are simply never reached). Groups run serially here: one analysis
+/// is already one scenario / trial of a parallel sweep. With
+/// \p StopAtFirstGap the loop ends at the first group that is not fully
+/// connected, and ReachableOrderedPairs is then a partial count.
+ReachabilityAnalysis sweepSurvivors(const Graph &G, const FaultSet &Faults,
+                                    bool StopAtFirstGap) {
   ReachabilityAnalysis Analysis;
   std::vector<NodeId> Healthy;
   Healthy.reserve(G.numNodes());
@@ -71,29 +43,62 @@ scg::analyzeReachabilityUnderFaults(const Graph &G, const FaultSet &Faults) {
   if (Healthy.empty())
     return Analysis;
 
-  // Same batching as analyzeUnderFaults, but every lane is consumed: a
-  // disconnected scenario contributes its partial reachability instead of
-  // aborting the sweep. NumReached counts the source itself, so each lane
-  // adds NumReached - 1 ordered pairs; failed nodes are linkless and are
-  // never reached.
-  Csr Surviving(applyFaults(G, Faults));
+  // The pull pass gathers from true in-neighbours: the rotator-style
+  // families fail single arcs, so the surviving graph is not symmetric.
+  // One O(V + E) transpose per evaluation, ~1% of the sweep.
+  const Csr Surviving(applyFaults(G, Faults));
+  const Csr Reverse = Surviving.transpose();
+  MsBfsScratch &Scratch = threadScratch<MsBfsScratch>();
+  constexpr size_t GroupLanes = size_t(MsBfsLanes) * MsBfsFusedWords;
   Analysis.Connected = true;
   uint32_t MaxEccentricity = 0;
-  for (size_t Begin = 0; Begin < Healthy.size(); Begin += MsBfsLanes) {
-    size_t Count = std::min<size_t>(MsBfsLanes, Healthy.size() - Begin);
-    MsBfsBatch Batch =
-        msBfs(Surviving, std::span(Healthy).subspan(Begin, Count));
-    for (size_t Lane = 0; Lane != Count; ++Lane) {
-      Analysis.ReachableOrderedPairs += Batch.NumReached[Lane] - 1;
-      if (Batch.NumReached[Lane] != Analysis.HealthyNodes)
-        Analysis.Connected = false;
-      MaxEccentricity = std::max(MaxEccentricity, Batch.Eccentricity[Lane]);
+  for (size_t Begin = 0; Begin < Healthy.size(); Begin += GroupLanes) {
+    std::span<const NodeId> Group = std::span(Healthy).subspan(
+        Begin, std::min(GroupLanes, Healthy.size() - Begin));
+    // Per-level lane arrivals are all either analysis needs: visits count
+    // every lane's source too, so a group reaches Visits - |Group| ordered
+    // pairs, is fully connected iff every lane saw every healthy node, and
+    // its largest eccentricity is the last level with arrivals.
+    struct LevelTally {
+      uint64_t Visits = 0;
+      uint32_t LastLevel = 0;
+      void level(uint32_t Level, uint64_t NewVisits) {
+        Visits += NewVisits;
+        LastLevel = Level; // ascending levels, fired only on arrivals.
+      }
+    } Tally;
+    detail::msBfsFusedImpl<MsBfsFusedWords, false>(Surviving, Reverse, Group,
+                                                   Tally, nullptr, Scratch);
+    Analysis.ReachableOrderedPairs += Tally.Visits - Group.size();
+    MaxEccentricity = std::max(MaxEccentricity, Tally.LastLevel);
+    if (Tally.Visits != Group.size() * Analysis.HealthyNodes) {
+      Analysis.Connected = false;
+      if (StopAtFirstGap)
+        break;
     }
   }
-  // Same contract as FaultAnalysis: the diameter is a measurement only
-  // when the survivors are mutually connected.
+  // The diameter is a measurement only when the survivors are mutually
+  // connected; never leak a partial maximum.
   Analysis.Diameter = Analysis.Connected ? MaxEccentricity : 0;
   return Analysis;
+}
+
+} // namespace
+
+FaultAnalysis scg::analyzeUnderFaults(const Graph &G,
+                                      const FaultSet &Faults) {
+  ReachabilityAnalysis Reach =
+      sweepSurvivors(G, Faults, /*StopAtFirstGap=*/true);
+  FaultAnalysis Analysis;
+  Analysis.Connected = Reach.Connected;
+  Analysis.Diameter = Reach.Diameter;
+  Analysis.HealthyNodes = Reach.HealthyNodes;
+  return Analysis;
+}
+
+ReachabilityAnalysis
+scg::analyzeReachabilityUnderFaults(const Graph &G, const FaultSet &Faults) {
+  return sweepSurvivors(G, Faults, /*StopAtFirstGap=*/false);
 }
 
 namespace {
@@ -133,7 +138,8 @@ SweepOutcome evaluateScenarios(const Graph &G, uint64_t NumScenarios,
 
 SingleFaultSweep scg::sweepSingleLinkFaults(const Graph &G,
                                             unsigned Stride) {
-  assert(Stride >= 1 && "stride must be positive");
+  if (Stride == 0)
+    throw std::invalid_argument("single-fault sweep stride must be positive");
   SingleFaultSweep Sweep;
   Sweep.FaultFreeDiameter = analyzeUnderFaults(G, FaultSet()).Diameter;
 
@@ -166,7 +172,8 @@ SingleFaultSweep scg::sweepSingleLinkFaults(const Graph &G,
 
 SingleFaultSweep scg::sweepSingleNodeFaults(const Graph &G,
                                             unsigned Stride) {
-  assert(Stride >= 1 && "stride must be positive");
+  if (Stride == 0)
+    throw std::invalid_argument("single-fault sweep stride must be positive");
   SingleFaultSweep Sweep;
   Sweep.FaultFreeDiameter = analyzeUnderFaults(G, FaultSet()).Diameter;
 

@@ -140,10 +140,11 @@ struct FaultAnalysis {
   uint64_t HealthyNodes = 0;
 };
 
-/// Analyzes \p G under \p Faults: healthy sources are batched 64 at a time
-/// through the bit-parallel multi-source BFS (graph/MsBfs.h), with an
-/// early exit on the first disconnected source. Disconnected results carry
-/// Diameter == 0 (never a partial accumulation).
+/// Analyzes \p G under \p Faults: healthy sources run 512 at a time
+/// through the fused direction-optimizing multi-source BFS (graph/MsBfs.h)
+/// over the surviving graph and its transpose, with an early exit on the
+/// first group that does not reach every healthy node. Disconnected
+/// results carry Diameter == 0 (never a partial accumulation).
 FaultAnalysis analyzeUnderFaults(const Graph &G, const FaultSet &Faults);
 
 /// Pairwise reachability of the surviving network -- the per-trial
@@ -159,8 +160,8 @@ struct ReachabilityAnalysis {
   uint32_t Diameter = 0;  ///< over healthy pairs; 0 when not connected.
 };
 
-/// Full (no early exit) reachability sweep of \p G under \p Faults via the
-/// bit-parallel multi-source BFS.
+/// Full (no early exit) reachability sweep of \p G under \p Faults on the
+/// same 512-lane engine as analyzeUnderFaults; every group is consumed.
 ReachabilityAnalysis analyzeReachabilityUnderFaults(const Graph &G,
                                                     const FaultSet &Faults);
 
@@ -179,10 +180,12 @@ struct SingleFaultSweep {
 /// exhaustive) and reports the worst outcome. \p G must be undirected.
 /// Scenarios are evaluated in parallel on the global ThreadPool; results
 /// are byte-identical at every thread count (SCG_THREADS=1 forces serial).
+/// Throws std::invalid_argument when \p Stride is 0.
 SingleFaultSweep sweepSingleLinkFaults(const Graph &G, unsigned Stride = 1);
 
 /// Removes every \p Stride-th node in turn and reports the worst outcome
-/// among the survivors. Parallel over scenarios like the link sweep.
+/// among the survivors. Parallel over scenarios like the link sweep;
+/// throws std::invalid_argument when \p Stride is 0.
 SingleFaultSweep sweepSingleNodeFaults(const Graph &G, unsigned Stride = 1);
 
 } // namespace scg

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -83,14 +84,32 @@ scg::msBfsDistancesHybrid(const Csr &G, const Csr &GT,
 }
 
 std::vector<uint8_t> scg::msBfsDistanceRow(const Csr &G, NodeId Source) {
-  std::vector<uint8_t> Row(G.numNodes(), MsBfsUnreachableByte);
-  NodeId Sources[1] = {Source};
-  msBfsCore(G, Sources,
-            [&Row](NodeId Node, uint64_t /*NewMask*/, uint32_t Level) {
-              assert(Level < MsBfsUnreachableByte &&
-                     "distance does not fit a table byte");
-              Row[Node] = uint8_t(Level);
-            });
+  const NodeId N = G.numNodes();
+  std::vector<uint8_t> Row(N, MsBfsUnreachableByte);
+  if (N == 0)
+    return Row;
+  assert(Source < N && "source out of range");
+  // One source needs no lanes: a flat FIFO (every node enters once) with
+  // the byte row itself as the visited mark.
+  std::vector<NodeId> Queue(N);
+  const NodeId *Adj = G.adjacencyData();
+  const uint64_t *Off = G.offsetsData();
+  Row[Source] = 0;
+  Queue[0] = Source;
+  for (size_t Head = 0, Tail = 1; Head != Tail; ++Head) {
+    NodeId V = Queue[Head];
+    const unsigned Next = Row[V] + 1u;
+    for (uint64_t E = Off[V], End = Off[V + 1]; E != End; ++E) {
+      NodeId To = Adj[E];
+      if (Row[To] == MsBfsUnreachableByte) {
+        if (Next == MsBfsUnreachableByte)
+          throw std::length_error(
+              "distance row: a distance does not fit a byte");
+        Row[To] = uint8_t(Next);
+        Queue[Tail++] = To;
+      }
+    }
+  }
   return Row;
 }
 

@@ -17,7 +17,10 @@
 ///  * msBfsCore -- the top-down (push) reference engine: every level
 ///    scans all N frontier words and ORs each live word into its
 ///    out-neighbors' next words. Simple, allocation-reusing, and the
-///    baseline the hybrid is differentially pinned against.
+///    baseline the hybrid is differentially pinned against. Its only
+///    library caller is msAllPairsStats with MsBfsEngine::Push (plus the
+///    msBfs / msBfsDistances wrappers the tests and benches use); the
+///    fault analyses (graph/Faults.h) run the fused hybrid below.
 ///
 ///  * msBfsHybridCore -- the direction-optimizing production engine
 ///    (Beamer-style). Sparse levels run the push pass over an explicit
@@ -32,9 +35,10 @@
 /// The hybrid is a thin adapter over a W-lane-word fused implementation
 /// (detail::msBfsFusedImpl): each node carries W consecutive 64-bit lane
 /// words, so one task advances 64*W sources and every random bitmap
-/// access touches W*8 contiguous bytes. msAllPairsStats instantiates
-/// W = MsBfsFusedWords = 8 -- one full cache line per node per bitmap --
-/// which is where most of the engine's memory-bandwidth win comes from.
+/// access touches W*8 contiguous bytes. msAllPairsStats and the fault
+/// analyses instantiate W = MsBfsFusedWords = 8 -- one full cache line
+/// per node per bitmap -- which is where most of the engine's
+/// memory-bandwidth win comes from.
 /// Sinks exposing a `level(Level, NewVisits)` member get one per-level
 /// popcount tally instead of hundreds of millions of per-word callbacks.
 ///
@@ -608,9 +612,11 @@ msBfsDistancesHybrid(const Csr &G, const Csr &GT,
 constexpr uint8_t MsBfsUnreachableByte = 0xFF;
 
 /// Compact single-source distance row: entry v is d(\p Source, v) as one
-/// byte, MsBfsUnreachableByte where no path exists. Asserts every finite
-/// distance stays below the sentinel (SCG diameters at enumerable k are
-/// two digits). This is the export the query layer's TableStore
+/// byte, MsBfsUnreachableByte where no path exists; byte-equal to
+/// bfs(G, Source).Distance wherever that is finite. One source needs no
+/// bit lanes, so this is a plain flat-queue BFS with the row as its
+/// visited mark. Throws std::length_error when a finite distance reaches
+/// the sentinel (SCG diameters at enumerable k are two digits). This is the export the query layer's TableStore
 /// serializes -- one byte per node keeps a k = 10 table at 3.6 MB, and
 /// a row is all a vertex-transitive network needs for exact all-pairs
 /// service (d(U, V) = d(id, U^-1 o V)).

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 using namespace scg;
 
@@ -69,6 +71,11 @@ uint64_t trialSeed(uint64_t Base, uint64_t Trial) {
 
 FaultCampaignResult scg::runFaultCampaign(const ExplicitScg &Net,
                                           const FaultCampaignOptions &Opts) {
+  // NaN fails both comparisons; rateThreshold's cast would be undefined.
+  for (double Rate : Opts.Rates)
+    if (!(Rate >= 0.0 && Rate <= 1.0))
+      throw std::invalid_argument("fault rate " + std::to_string(Rate) +
+                                  " is not in [0, 1]");
   FaultCampaignResult Result;
   Result.Network = Net.network().name();
   Result.Nodes = Net.numNodes();

@@ -91,7 +91,8 @@ struct FaultCampaignResult {
 };
 
 /// Runs the campaign described by \p Opts against \p Net. Deterministic
-/// for a fixed (network, options) at every thread count.
+/// for a fixed (network, options) at every thread count. Throws
+/// std::invalid_argument when a rate is NaN or outside [0, 1].
 FaultCampaignResult runFaultCampaign(const ExplicitScg &Net,
                                      const FaultCampaignOptions &Opts);
 

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 using namespace scg;
 
 namespace {
@@ -134,4 +138,19 @@ TEST(FaultCampaign, DirectedFamilyFailsArcs) {
   EXPECT_EQ(Result.Components, 72u);
   EXPECT_EQ(Result.StarGeneratorContainers, 0u);
   EXPECT_EQ(Result.MaxFlowContainers, 4u);
+}
+
+TEST(FaultCampaign, RejectsRateOutsideUnitInterval) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  for (double Bad : {std::nan(""), -0.01, 1.5,
+                     std::numeric_limits<double>::infinity()}) {
+    FaultCampaignOptions Opts = smallOptions();
+    Opts.Rates = {0.05, Bad};
+    EXPECT_THROW(runFaultCampaign(Net, Opts), std::invalid_argument) << Bad;
+  }
+  // The closed interval's ends are valid rates.
+  FaultCampaignOptions Ends = smallOptions();
+  Ends.Rates = {0.0, 1.0};
+  Ends.Trials = 2;
+  EXPECT_EQ(runFaultCampaign(Net, Ends).Points.size(), 2u);
 }

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace scg;
 
 TEST(Faults, ApplyRemovesFailedLinks) {
@@ -153,6 +155,12 @@ TEST(Faults, ZeroScenarioSweepIsNotARobustnessCertificate) {
   SingleFaultSweep Nodes = sweepSingleNodeFaults(Empty);
   EXPECT_EQ(Nodes.ScenariosTried, 0u);
   EXPECT_FALSE(Nodes.AlwaysConnected);
+}
+
+TEST(Faults, SweepsRejectZeroStride) {
+  Graph G = ExplicitScg(SuperCayleyGraph::star(4)).toGraph();
+  EXPECT_THROW(sweepSingleLinkFaults(G, /*Stride=*/0), std::invalid_argument);
+  EXPECT_THROW(sweepSingleNodeFaults(G, /*Stride=*/0), std::invalid_argument);
 }
 
 TEST(Faults, StridedSweepAgreesWithExhaustive) {

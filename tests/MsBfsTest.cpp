@@ -10,6 +10,9 @@
 //    arbitrary order, with duplicates.
 //  * Disconnected and faulted graphs: unreached nodes, per-lane reached
 //    counts, and the Connected=false sweep result.
+//  * msBfsDistanceRow (the TableStore row) == bfs() distances byte for
+//    byte on every family, 0xFF where unreachable, and a throw where a
+//    distance would collide with that sentinel.
 //  * allPairsStats (now MS-BFS-backed) == scalarAllPairsStats everywhere,
 //    and parallel == serial byte-identity at 1/2/8 threads (the
 //    determinism contract, under the `parallel` ctest label).
@@ -27,6 +30,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -208,6 +212,52 @@ TEST(MsBfs, ParallelSerialByteIdentity) {
                       }),
                       Scg.name() + " @" + std::to_string(Threads));
   }
+}
+
+/// The byte row's contract: bfs() distances, 0xFF where bfs() finds none.
+void expectRowMatchesBfs(const Graph &G, NodeId Src, const std::string &What) {
+  std::vector<uint8_t> Row = msBfsDistanceRow(Csr(G), Src);
+  std::vector<uint32_t> Ref = bfs(G, Src).Distance;
+  ASSERT_EQ(Row.size(), Ref.size()) << What;
+  for (NodeId V = 0; V != G.numNodes(); ++V)
+    EXPECT_EQ(Row[V], Ref[V] == UnreachableDistance ? MsBfsUnreachableByte
+                                                    : uint8_t(Ref[V]))
+        << What << " node " << V;
+}
+
+TEST(MsBfs, DistanceRowMatchesBfsOnEveryFamily) {
+  for (const SuperCayleyGraph &Scg : allFamiliesK5()) {
+    Graph G = ExplicitScg(Scg).toGraph();
+    for (NodeId Src : {NodeId(0), NodeId(57), NodeId(119)})
+      expectRowMatchesBfs(G, Src, Scg.name() + " from " + std::to_string(Src));
+  }
+}
+
+TEST(MsBfs, DistanceRowMarksUnreachableNodes) {
+  // 0 - 1 - 2 and an isolated 3; 4 -> 0 is one-way, so 4 is unreachable
+  // from 0 but reaches everything but 3.
+  Graph G(5);
+  G.addUndirectedEdge(0, 1);
+  G.addUndirectedEdge(1, 2);
+  G.addEdge(4, 0);
+  expectRowMatchesBfs(G, 0, "from 0");
+  expectRowMatchesBfs(G, 4, "from 4");
+  expectRowMatchesBfs(G, 3, "from isolated 3");
+  std::vector<uint8_t> Row = msBfsDistanceRow(Csr(G), 0);
+  EXPECT_EQ(Row, (std::vector<uint8_t>{0, 1, 2, 0xFF, 0xFF}));
+}
+
+TEST(MsBfs, DistanceRowRejectsDistancesBeyondAByte) {
+  // From one end of an N-node path the far end is at N - 1: 254 still
+  // fits a byte, 255 collides with the unreachable sentinel.
+  auto Path = [](NodeId Nodes) {
+    Graph P(Nodes);
+    for (NodeId V = 0; V + 1 != Nodes; ++V)
+      P.addUndirectedEdge(V, V + 1);
+    return Csr(P);
+  };
+  EXPECT_EQ(msBfsDistanceRow(Path(255), 0).back(), 254);
+  EXPECT_THROW(msBfsDistanceRow(Path(256), 0), std::length_error);
 }
 
 TEST(MsBfs, LeanReachabilityAgreesWithBfs) {

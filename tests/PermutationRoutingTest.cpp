@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -109,6 +110,15 @@ TEST(PermutationRoutingInput, RejectsEntryThatIsNotANode) {
   TrafficPattern P = reversalTraffic(Net);
   P[3] = Net.numNodes();
   EXPECT_THROW(simulatePermutationRouting(Net, P), std::invalid_argument);
+}
+
+TEST(PermutationRoutingInput, TranslationRejectsGeneratorOutOfRange) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  EXPECT_THROW(translationTraffic(Net, 7), std::invalid_argument);
+  EXPECT_THROW(translationTraffic(Net, GenIndex(Net.degree())),
+               std::invalid_argument);
+  EXPECT_EQ(translationTraffic(Net, GenIndex(Net.degree() - 1)).size(),
+            Net.numNodes());
 }
 
 TEST(PermutationRoutingInput, RejectsFamilyWithoutStarEmulation) {
