@@ -12,13 +12,14 @@
 /// topologies (meshes, trees -- not vertex-transitive) and for
 /// cross-checking the transitivity shortcut in tests and benches.
 ///
-/// allPairsStats runs on the direction-optimizing bit-parallel multi-source
-/// BFS engine (graph/MsBfs.h): 512 sources per fused task over CSR
-/// adjacency, push/pull switched per level, batches spread across the
-/// ThreadPool -- which is what makes exact sweeps at k = 9 (362,880
-/// nodes) routine and k = 10 (3.6M nodes) an hours-scale run. The scalar
-/// one-BFS-per-source engine survives as scalarAllPairsStats, the
-/// reference the bit-parallel results are pinned against.
+/// allPairsStats runs on the library's one multi-source BFS engine
+/// (graph/MsBfs.h), direction-optimizing and bit-parallel: 512 sources
+/// per fused task over CSR adjacency, push/pull switched per level, tasks
+/// spread across the ThreadPool -- which is what makes exact sweeps at
+/// k = 9 (362,880 nodes) routine and k = 10 (3.6M nodes) an hours-scale
+/// run. scalarAllPairsStats (one bfs() per source) shares no traversal
+/// code with it and is the independent oracle it is pinned against byte
+/// for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,17 +37,18 @@ struct DistanceStats {
   double AverageDistance = 0.0; ///< Over ordered pairs of distinct nodes.
 };
 
-/// All-pairs statistics via bit-parallel multi-source BFS (64 sources per
-/// batch), parallel over batches on the global ThreadPool (SCG_THREADS=1
+/// All-pairs statistics via bit-parallel multi-source BFS (512 sources
+/// per fused task), parallel over tasks on the global ThreadPool (SCG_THREADS=1
 /// forces serial). Results are byte-identical at every thread count and
 /// to scalarAllPairsStats. For a disconnected graph, returns
 /// Connected=false with zeroed Diameter/AverageDistance.
 DistanceStats allPairsStats(const Graph &G);
 
-/// The scalar reference engine: one BFS per source, parallel over source
-/// nodes. Kept as the differential baseline for the bit-parallel engine
-/// (tests/MsBfsTest.cpp, bench_network_properties); prefer allPairsStats
-/// everywhere else.
+/// The scalar oracle: one bfs() per source, parallel over source nodes.
+/// Kept as the independent differential baseline for the bit-parallel
+/// engine (tests/MsBfsTest.cpp, tests/MsBfsHybridTest.cpp, the
+/// bench_network_properties and bench_degree_diameter smoke gates);
+/// prefer allPairsStats everywhere else.
 DistanceStats scalarAllPairsStats(const Graph &G);
 
 /// Single-BFS statistics from \p Representative, valid for vertex-transitive

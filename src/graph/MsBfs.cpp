@@ -14,7 +14,7 @@ using namespace scg;
 
 namespace {
 
-/// Shared per-lane statistics sink for msBfs / msBfsHybrid.
+/// Per-lane statistics sink for msBfs.
 struct BatchSink {
   MsBfsBatch &Batch;
   void operator()(NodeId, uint64_t NewMask, uint32_t Level) const {
@@ -38,7 +38,7 @@ MsBfsBatch makeBatch(size_t Lanes) {
   return Batch;
 }
 
-/// Shared distance-matrix sink for msBfsDistances{,Hybrid}.
+/// Distance-matrix sink for msBfsDistances.
 struct RowsSink {
   std::vector<std::vector<uint32_t>> &Rows;
   void operator()(NodeId Node, uint64_t NewMask, uint32_t Level) const {
@@ -51,44 +51,40 @@ struct RowsSink {
 
 } // namespace
 
-MsBfsBatch scg::msBfs(const Csr &G, std::span<const NodeId> Sources) {
-  MsBfsBatch Batch = makeBatch(Sources.size());
-  msBfsCore(G, Sources, BatchSink{Batch});
-  return Batch;
+void scg::detail::checkMsBfsInputs(const Csr &G, const Csr &GT,
+                                   std::span<const NodeId> Sources) {
+  if (Sources.size() > MsBfsLanes)
+    throw std::invalid_argument("MS-BFS: more than 64 sources in one batch");
+  for (NodeId Src : Sources)
+    if (Src >= G.numNodes())
+      throw std::invalid_argument("MS-BFS: source is not a node of the graph");
+  if (GT.numNodes() != G.numNodes() || GT.numEdges() != G.numEdges())
+    throw std::invalid_argument(
+        "MS-BFS: transpose does not match the graph's node and edge counts");
 }
 
-MsBfsBatch scg::msBfsHybrid(const Csr &G, const Csr &GT,
-                            std::span<const NodeId> Sources) {
+MsBfsBatch scg::msBfs(const Csr &G, const Csr &GT,
+                      std::span<const NodeId> Sources) {
   MsBfsBatch Batch = makeBatch(Sources.size());
-  msBfsHybridCore(G, GT, Sources, BatchSink{Batch});
+  msBfsCore(G, GT, Sources, BatchSink{Batch});
   return Batch;
 }
 
 std::vector<std::vector<uint32_t>>
-scg::msBfsDistances(const Csr &G, std::span<const NodeId> Sources) {
+scg::msBfsDistances(const Csr &G, const Csr &GT,
+                    std::span<const NodeId> Sources) {
   std::vector<std::vector<uint32_t>> Rows(
       Sources.size(),
       std::vector<uint32_t>(G.numNodes(), UnreachableDistance));
-  msBfsCore(G, Sources, RowsSink{Rows});
-  return Rows;
-}
-
-std::vector<std::vector<uint32_t>>
-scg::msBfsDistancesHybrid(const Csr &G, const Csr &GT,
-                          std::span<const NodeId> Sources) {
-  std::vector<std::vector<uint32_t>> Rows(
-      Sources.size(),
-      std::vector<uint32_t>(G.numNodes(), UnreachableDistance));
-  msBfsHybridCore(G, GT, Sources, RowsSink{Rows});
+  msBfsCore(G, GT, Sources, RowsSink{Rows});
   return Rows;
 }
 
 std::vector<uint8_t> scg::msBfsDistanceRow(const Csr &G, NodeId Source) {
   const NodeId N = G.numNodes();
+  if (Source >= N)
+    throw std::invalid_argument("distance row: source is not a node");
   std::vector<uint8_t> Row(N, MsBfsUnreachableByte);
-  if (N == 0)
-    return Row;
-  assert(Source < N && "source out of range");
   // One source needs no lanes: a flat FIFO (every node enters once) with
   // the byte row itself as the visited mark.
   std::vector<NodeId> Queue(N);
@@ -116,8 +112,8 @@ std::vector<uint8_t> scg::msBfsDistanceRow(const Csr &G, NodeId Source) {
 namespace {
 
 /// Order-independent batch partial (AND / max / exact sums), identical in
-/// shape to the scalar sweep's accumulator so the two engines fold the
-/// same integers into the same double at the end. Counters ride along as
+/// shape to the scalar sweep's accumulator so both sweeps fold the same
+/// integers into the same double at the end. Counters ride along as
 /// more exact sums.
 struct SweepAccum {
   bool AllConnected = true;
@@ -141,18 +137,15 @@ DistanceStats scg::msAllPairsStats(const Csr &G, const MsSweepOptions &Opts) {
   const uint64_t N = G.numNodes();
   if (N == 0)
     return Stats;
-  const bool Hybrid = Opts.Engine == MsBfsEngine::Hybrid;
-  const bool Counted = Hybrid && Opts.Metrics != nullptr;
+  const bool Counted = Opts.Metrics != nullptr;
   // The pull pass needs the reverse graph; identical to G (up to row
   // order) for the undirected families, but built generically so directed
   // graphs pull from true in-neighbors. One O(V + E) build per sweep.
-  const Csr GT = Hybrid ? G.transpose() : Csr(Graph(0));
-  // The hybrid sweep fuses 8 batches per task (512 sources, one lane
-  // cache line per node); the push reference keeps plain 64-lane batches.
-  // Sweep statistics are per-(source, node) sums / maxima, so the
+  const Csr GT = G.transpose();
+  // Each task fuses 8 batches (512 sources, one lane cache line per
+  // node). Sweep statistics are per-(source, node) sums / maxima, so the
   // grouping cannot change any result bit.
-  const uint64_t GroupLanes =
-      Hybrid ? uint64_t(MsBfsLanes) * MsBfsFusedWords : MsBfsLanes;
+  const uint64_t GroupLanes = uint64_t(MsBfsLanes) * MsBfsFusedWords;
   const uint64_t NumGroups = (N + GroupLanes - 1) / GroupLanes;
   // Group g owns sources [g * GroupLanes, ...); groups are independent
   // (each worker thread reuses its own scratch), and the early-out flag
@@ -187,24 +180,12 @@ DistanceStats scg::msAllPairsStats(const Csr &G, const MsSweepOptions &Opts) {
                                   // NewVisits > 0: max wins.
           }
         } Sink{One, Visits};
-        if (Hybrid) {
-          if (Counted)
-            detail::msBfsFusedImpl<MsBfsFusedWords, true>(
-                G, GT, Scratch.Sources, Sink, &One.Counters, Scratch);
-          else
-            detail::msBfsFusedImpl<MsBfsFusedWords, false>(
-                G, GT, Scratch.Sources, Sink, nullptr, Scratch);
-        } else {
-          msBfsCore(
-              G, Scratch.Sources,
-              [&](NodeId, uint64_t NewMask, uint32_t Level) {
-                unsigned Count = unsigned(std::popcount(NewMask));
-                Visits += Count;
-                One.DistanceSum += uint64_t(Level) * Count;
-                One.Diameter = Level; // ascending levels: max wins.
-              },
-              &Scratch);
-        }
+        if (Counted)
+          detail::msBfsFusedImpl<MsBfsFusedWords, true>(
+              G, GT, Scratch.Sources, Sink, &One.Counters, Scratch);
+        else
+          detail::msBfsFusedImpl<MsBfsFusedWords, false>(
+              G, GT, Scratch.Sources, Sink, nullptr, Scratch);
         if (Visits != N * Scratch.Sources.size()) {
           Disconnected.store(true, std::memory_order_relaxed);
           One = SweepAccum{};
@@ -215,7 +196,7 @@ DistanceStats scg::msAllPairsStats(const Csr &G, const MsSweepOptions &Opts) {
       mergeSweep);
   if (Counted) {
     // One publication per sweep, after the deterministic fold; on a
-    // connected graph the totals are a pure function of (graph, engine).
+    // connected graph the totals are a pure function of the graph.
     MetricsRegistry &M = *Opts.Metrics;
     M.counter("distance.batches").add(Acc.Counters.Batches);
     M.counter("distance.push_levels").add(Acc.Counters.PushLevels);

@@ -11,51 +11,41 @@
 /// BFS visits, which is what pushes exact all-pairs and fault sweeps from
 /// k = 7 into k = 9/10 territory.
 ///
-/// Two engines share the visit-sink idiom (the sink fires once per
-/// (node, level) with the exact lane mask first reaching the node then):
+/// There is one engine, direction-optimizing (Beamer-style). Sparse levels
+/// run a push pass over an explicit frontier worklist (no O(N) scans);
+/// dense levels run a pull pass over the transpose: each not-yet-saturated
+/// node ORs its in-neighbors' frontier words, early-exiting the moment
+/// every lane it still lacks has been found, and nodes whose seen word
+/// fills up are compacted out of the active list for the rest of the
+/// batch. A frontier-density heuristic (pure function of worklist sizes,
+/// so fully deterministic) switches direction per level.
 ///
-///  * msBfsCore -- the top-down (push) reference engine: every level
-///    scans all N frontier words and ORs each live word into its
-///    out-neighbors' next words. Simple, allocation-reusing, and the
-///    baseline the hybrid is differentially pinned against. Its only
-///    library caller is msAllPairsStats with MsBfsEngine::Push (plus the
-///    msBfs / msBfsDistances wrappers the tests and benches use); the
-///    fault analyses (graph/Faults.h) run the fused hybrid below.
-///
-///  * msBfsHybridCore -- the direction-optimizing production engine
-///    (Beamer-style). Sparse levels run the push pass over an explicit
-///    frontier worklist (no O(N) scans); dense levels run a pull pass
-///    over the transpose: each not-yet-saturated node ORs its
-///    in-neighbors' frontier words, early-exiting the moment every lane
-///    it still lacks has been found, and nodes whose seen word fills up
-///    are compacted out of the active list for the rest of the batch. A
-///    frontier-density heuristic (pure function of worklist sizes, so
-///    fully deterministic) switches direction per level.
-///
-/// The hybrid is a thin adapter over a W-lane-word fused implementation
+/// The engine is a W-lane-word fused implementation
 /// (detail::msBfsFusedImpl): each node carries W consecutive 64-bit lane
 /// words, so one task advances 64*W sources and every random bitmap
 /// access touches W*8 contiguous bytes. msAllPairsStats and the fault
-/// analyses instantiate W = MsBfsFusedWords = 8 -- one full cache line
-/// per node per bitmap -- which is where most of the engine's
-/// memory-bandwidth win comes from.
-/// Sinks exposing a `level(Level, NewVisits)` member get one per-level
-/// popcount tally instead of hundreds of millions of per-word callbacks.
+/// analyses (graph/Faults.h) instantiate W = MsBfsFusedWords = 8 -- one
+/// full cache line per node per bitmap -- which is where most of the
+/// engine's memory-bandwidth win comes from; msBfsCore is the public
+/// 64-lane (W = 1) form. Sinks exposing a `level(Level, NewVisits)`
+/// member get one per-level popcount tally instead of hundreds of
+/// millions of per-word callbacks.
 ///
-/// Both engines draw their bitmap arrays and worklists from per-thread
-/// reusable scratch (support/Scratch.h) -- a 56k-batch sweep at k = 10
-/// would otherwise malloc three multi-megabyte arrays per batch.
+/// Bitmap arrays and worklists come from per-thread reusable scratch
+/// (support/Scratch.h) -- a 56k-batch sweep at k = 10 would otherwise
+/// malloc three multi-megabyte arrays per batch.
 ///
 /// Determinism: traversal is bit algebra over fixed node orders, so a
-/// batch's visit sequence is a pure function of (graph, source list,
-/// engine). Levels ascend; within a level the push reference emits in
-/// ascending node order, the hybrid in a deterministic engine-specific
-/// order -- all in-tree sinks fold with order-independent operations
-/// (integer sums / max / OR), so the two engines produce byte-identical
-/// statistics and distance rows (push vs scalar pinned by
-/// tests/MsBfsTest.cpp, hybrid vs push by tests/MsBfsHybridTest.cpp).
-/// msAllPairsStats reduces batches through the ThreadPool's
-/// order-independent fold, so parallel runs are byte-identical to serial.
+/// batch's visit sequence is a pure function of (graph, source list).
+/// Levels ascend; within a level the order is deterministic (worklist
+/// order, not node order), and all in-tree sinks fold with
+/// order-independent operations (integer sums / max / OR). The
+/// independent oracles are scalar bfs() and scalarAllPairsStats
+/// (graph/Bfs.h, graph/Metrics.h): tests/MsBfsTest.cpp and
+/// tests/MsBfsHybridTest.cpp pin batches, rows and sweeps against them
+/// byte for byte. msAllPairsStats reduces batches through the
+/// ThreadPool's order-independent fold, so parallel runs are
+/// byte-identical to serial.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,37 +80,31 @@ constexpr unsigned MsBfsLanes = 64;
 /// into 512-lane tasks cannot change any result bit.
 constexpr unsigned MsBfsFusedWords = 8;
 
-/// Which multi-source engine a sweep runs on.
-enum class MsBfsEngine {
-  Push,  ///< top-down reference: full word scan per level.
-  Hybrid ///< direction-optimizing push/pull with frontier worklists.
-};
-
 /// Reusable per-batch state. One batch needs three N-word bitmap arrays
-/// plus up-to-N-entry worklists; engines assign()/clear() every field
-/// they use, so a warm scratch object is observationally identical to a
+/// plus up-to-N-entry worklists; the engine assign()s/clear()s every field
+/// it uses, so a warm scratch object is observationally identical to a
 /// fresh one (support/Scratch.h contract). msAllPairsStats keeps one per
-/// worker thread; callers invoking an engine directly may pass their own
-/// or let the engine use the calling thread's.
+/// worker thread; callers invoking the engine directly may pass their own
+/// or let it use the calling thread's.
 struct MsBfsScratch {
   std::vector<uint64_t> Seen, Frontier, Next;
   std::vector<NodeId> CurList;  ///< nodes with a nonzero frontier word.
   std::vector<NodeId> NextList; ///< nodes touched while building the next level.
-  std::vector<NodeId> Unseen;   ///< hybrid: nodes whose seen word is not full.
+  std::vector<NodeId> Unseen;   ///< nodes whose seen word is not full.
   std::vector<NodeId> Sources;  ///< sweep drivers' batch source staging.
   /// True when the last engine run completed, which leaves Frontier and
   /// Next all-zero (every dead word is zeroed on commit and the final
   /// level has no live ones) -- the next same-size run then skips two
-  /// large memsets. Engines clear the flag on entry and set it on exit.
+  /// large memsets. The engine clears the flag on entry and sets it on exit.
   bool LaneWordsClean = false;
 };
 
-/// Work counters a hybrid traversal can report, one increment per word
+/// Work counters a traversal can report, one increment per word
 /// read or written in a level pass. Order-independent integer sums, so
 /// sweep-level aggregates are byte-identical at every thread count (on
 /// connected graphs; the disconnected early-out may skip batches). These
 /// are what the `distance.*` metrics and bench JSON expose to explain
-/// *why* the hybrid wins: pull words saved per switched level.
+/// where the sweep's work goes: words per direction, levels, switches.
 struct MsBfsCounters {
   uint64_t Batches = 0;           ///< engine invocations folded in.
   uint64_t PushLevels = 0;        ///< levels run top-down.
@@ -143,7 +127,7 @@ struct MsBfsCounters {
 namespace detail {
 
 /// Resets a lane-word array for a new run. Seen must be wiped, but
-/// Frontier / Next are all-zero whenever an engine ran to completion on
+/// Frontier / Next are all-zero whenever the engine ran to completion on
 /// them (the commit loops zero every dead word and the final level leaves
 /// no live ones), so a correctly-sized warm buffer skips the memset --
 /// worth ~20% of a small-k group. A resize from another graph size can
@@ -166,77 +150,12 @@ inline void resetLaneWords(std::vector<uint64_t> &Buf, size_t Size,
   Buf.assign(Size, 0);
 }
 
-} // namespace detail
-
-/// Level-synchronous bit-parallel BFS from \p Sources (at most MsBfsLanes)
-/// over \p G -- the top-down reference engine. Lane i is the BFS from
-/// Sources[i]. \p Visit is invoked as Visit(Node, LaneMask, Level) exactly
-/// once for every node some lane reaches, per level at which new lanes
-/// reach it: LaneMask holds exactly the lanes whose BFS first reaches Node
-/// at distance Level. Level 0 calls cover the sources themselves
-/// (duplicated sources share one call with both lanes set). Calls are
-/// emitted in ascending (Level, Node) order. Bitmaps come from \p Scratch
-/// (the calling thread's shared scratch when null).
-template <typename OnVisit>
-void msBfsCore(const Csr &G, std::span<const NodeId> Sources, OnVisit &&Visit,
-               MsBfsScratch *Scratch = nullptr) {
-  assert(Sources.size() <= MsBfsLanes && "at most 64 lanes per batch");
-  const NodeId N = G.numNodes();
-  if (Sources.empty() || N == 0)
-    return;
-  MsBfsScratch &S = Scratch ? *Scratch : threadScratch<MsBfsScratch>();
-  detail::resetLaneWords(S.Seen, N, /*KnownZero=*/false);
-  detail::resetLaneWords(S.Frontier, N, S.LaneWordsClean);
-  detail::resetLaneWords(S.Next, N, S.LaneWordsClean);
-  S.LaneWordsClean = false;
-  uint64_t *Seen = S.Seen.data(), *Frontier = S.Frontier.data(),
-           *Next = S.Next.data();
-  for (size_t Lane = 0; Lane != Sources.size(); ++Lane) {
-    assert(Sources[Lane] < N && "source out of range");
-    Frontier[Sources[Lane]] |= uint64_t(1) << Lane;
-  }
-  // Level-0 visits: one call per distinct source node, in node order.
-  // Seen doubles as the "already emitted" marker here.
-  for (NodeId Src : Sources) {
-    if (Seen[Src])
-      continue;
-    Seen[Src] = Frontier[Src];
-    Visit(Src, Frontier[Src], uint32_t(0));
-  }
-
-  const NodeId *Adj = G.adjacencyData();
-  const uint64_t *Off = G.offsetsData();
-  for (uint32_t Level = 1;; ++Level) {
-    // Push: every frontier word flows into the out-neighbors' next words.
-    for (NodeId Node = 0; Node != N; ++Node) {
-      uint64_t F = Frontier[Node];
-      if (!F)
-        continue;
-      for (uint64_t E = Off[Node], End = Off[Node + 1]; E != End; ++E)
-        Next[Adj[E]] |= F;
-    }
-    // Commit: lanes not yet seen become the new frontier; visit them.
-    uint64_t AnyNew = 0;
-    for (NodeId Node = 0; Node != N; ++Node) {
-      uint64_t New = Next[Node] & ~Seen[Node];
-      Next[Node] = 0;
-      Frontier[Node] = New;
-      if (New) {
-        Seen[Node] |= New;
-        AnyNew |= New;
-        Visit(Node, New, Level);
-      }
-    }
-    if (!AnyNew) {
-      // Next is fully re-zeroed and the dead frontier words above are all
-      // zero too: record the clean-buffer invariant for the next run.
-      S.LaneWordsClean = true;
-      return;
-    }
-  }
-}
-
-namespace detail {
+/// Throws std::invalid_argument unless \p Sources fits one 64-lane batch,
+/// every source is a node of \p G, and \p GT has G's node and edge counts
+/// (the transpose the pull pass reads). msBfsCore runs it before
+/// traversing; msBfsFusedImpl's library callers only assert the same.
+void checkMsBfsInputs(const Csr &G, const Csr &GT,
+                      std::span<const NodeId> Sources);
 
 /// Direction heuristic. Unlike single-source BFS (where one found parent
 /// ends a bottom-up row), a pull row only early-exits once *every* lane
@@ -550,20 +469,25 @@ void msBfsFusedImpl(const Csr &G, const Csr &GT,
 
 } // namespace detail
 
-/// Direction-optimizing bit-parallel BFS (see file comment): push over an
-/// explicit frontier worklist on sparse levels, pull over the transpose
-/// \p GT with per-node early exit and saturation compaction on dense
-/// levels. Visit contract matches msBfsCore except within-level order,
-/// which is deterministic but engine-specific; per-(node, level) lane
-/// masks are identical to the push engine's. \p Counters, when non-null,
-/// accumulates word-touch telemetry (the counted run executes the same
-/// traversal; counting is compiled out otherwise).
+/// Bit-parallel BFS from \p Sources (at most MsBfsLanes) over \p G, with
+/// \p GT = G.transpose() feeding the pull pass (see file comment). Lane i
+/// is the BFS from Sources[i]. \p Visit is invoked as
+/// Visit(Node, LaneMask, Level) exactly once for every node some lane
+/// reaches, per level at which new lanes reach it: LaneMask holds exactly
+/// the lanes whose BFS first reaches Node at distance Level. Level 0 calls
+/// cover the sources themselves (duplicated sources share one call with
+/// both lanes set). Levels ascend; the order within a level is
+/// deterministic but unspecified. \p Counters, when non-null, accumulates
+/// word-touch telemetry (the counted run executes the same traversal;
+/// counting is compiled out otherwise). Bitmaps come from \p Scratch (the
+/// calling thread's shared scratch when null). Throws
+/// std::invalid_argument on more than 64 sources, a source that is not a
+/// node of \p G, or a \p GT whose node or edge count differs from G's.
 template <typename OnVisit>
-void msBfsHybridCore(const Csr &G, const Csr &GT,
-                     std::span<const NodeId> Sources, OnVisit &&Visit,
-                     MsBfsCounters *Counters = nullptr,
-                     MsBfsScratch *Scratch = nullptr) {
-  assert(Sources.size() <= MsBfsLanes && "at most 64 lanes per batch");
+void msBfsCore(const Csr &G, const Csr &GT, std::span<const NodeId> Sources,
+               OnVisit &&Visit, MsBfsCounters *Counters = nullptr,
+               MsBfsScratch *Scratch = nullptr) {
+  detail::checkMsBfsInputs(G, GT, Sources);
   MsBfsScratch &S = Scratch ? *Scratch : threadScratch<MsBfsScratch>();
   // Adapt the single-word impl sink (word index is always 0 at W = 1) to
   // the public 64-lane signature.
@@ -579,34 +503,25 @@ void msBfsHybridCore(const Csr &G, const Csr &GT,
 /// Per-source results of one bit-parallel batch, indexed like \p Sources.
 /// Field semantics match BfsResult (eccentricity = largest finite
 /// distance, reached count includes the source, distance sum over finite
-/// distances) so scalar and bit-parallel engines are directly comparable.
+/// distances) so scalar and bit-parallel results are directly comparable.
 struct MsBfsBatch {
   std::vector<uint32_t> Eccentricity;
   std::vector<uint64_t> NumReached;
   std::vector<uint64_t> DistanceSum;
 };
 
-/// Runs one push-engine batch and accumulates the per-source statistics.
-MsBfsBatch msBfs(const Csr &G, std::span<const NodeId> Sources);
-
-/// msBfs on the hybrid engine; byte-identical to msBfs (differential pin
-/// in tests/MsBfsTest.cpp). \p GT must be G.transpose().
-MsBfsBatch msBfsHybrid(const Csr &G, const Csr &GT,
-                       std::span<const NodeId> Sources);
+/// Runs one msBfsCore batch and accumulates the per-source statistics;
+/// equal to one bfs() per source (tests/MsBfsTest.cpp). \p GT must be
+/// G.transpose(). Throws std::invalid_argument like msBfsCore.
+MsBfsBatch msBfs(const Csr &G, const Csr &GT, std::span<const NodeId> Sources);
 
 /// Full distance vectors per source (UnreachableDistance where a lane
 /// never arrives). Row i is the distance vector of Sources[i]; byte-equal
 /// to bfs(G, Sources[i]).Distance. Mainly for differential tests and
-/// dilation-style consumers that need the whole matrix slice.
-std::vector<std::vector<uint32_t>> msBfsDistances(const Csr &G,
-                                                  std::span<const NodeId>
-                                                      Sources);
-
-/// msBfsDistances on the hybrid engine; rows byte-equal to the push
-/// engine's. \p GT must be G.transpose().
+/// dilation-style consumers that need the whole matrix slice. \p GT must
+/// be G.transpose(). Throws std::invalid_argument like msBfsCore.
 std::vector<std::vector<uint32_t>>
-msBfsDistancesHybrid(const Csr &G, const Csr &GT,
-                     std::span<const NodeId> Sources);
+msBfsDistances(const Csr &G, const Csr &GT, std::span<const NodeId> Sources);
 
 /// Sentinel byte for "no path" in compact one-byte distance rows.
 constexpr uint8_t MsBfsUnreachableByte = 0xFF;
@@ -615,32 +530,30 @@ constexpr uint8_t MsBfsUnreachableByte = 0xFF;
 /// byte, MsBfsUnreachableByte where no path exists; byte-equal to
 /// bfs(G, Source).Distance wherever that is finite. One source needs no
 /// bit lanes, so this is a plain flat-queue BFS with the row as its
-/// visited mark. Throws std::length_error when a finite distance reaches
-/// the sentinel (SCG diameters at enumerable k are two digits). This is the export the query layer's TableStore
-/// serializes -- one byte per node keeps a k = 10 table at 3.6 MB, and
-/// a row is all a vertex-transitive network needs for exact all-pairs
-/// service (d(U, V) = d(id, U^-1 o V)).
+/// visited mark. Throws std::invalid_argument when \p Source is not a
+/// node of \p G, and std::length_error when a finite distance reaches the
+/// sentinel (SCG diameters at enumerable k are two digits). This is the
+/// export the query layer's TableStore serializes -- one byte per node
+/// keeps a k = 10 table at 3.6 MB, and a row is all a vertex-transitive
+/// network needs for exact all-pairs service (d(U, V) = d(id, U^-1 o V)).
 std::vector<uint8_t> msBfsDistanceRow(const Csr &G, NodeId Source);
 
 /// Sweep configuration for msAllPairsStats.
 struct MsSweepOptions {
-  /// Engine selection; Hybrid is the production default, Push the
-  /// differential / bench baseline.
-  MsBfsEngine Engine = MsBfsEngine::Hybrid;
-  /// When non-null, the sweep publishes `distance.*` counters here
-  /// (hybrid engine only): words touched per direction, direction
-  /// switches, level and batch totals. On connected graphs the published
-  /// values are byte-identical at every thread count.
+  /// When non-null, the sweep publishes `distance.*` counters here: words
+  /// touched per direction, direction switches, level and batch totals.
+  /// On connected graphs the published values are byte-identical at every
+  /// thread count.
   MetricsRegistry *Metrics = nullptr;
 };
 
-/// All-pairs distance statistics over \p G: sources batched 64 per word,
-/// batches spread over the global ThreadPool (SCG_THREADS=1 forces
-/// serial), results byte-identical at every thread count and across
-/// engines. This is the engine behind allPairsStats(const Graph &); call
-/// it directly when a Csr is already at hand (e.g. ExplicitScg::toCsr()).
-/// The hybrid engine builds the transpose once per sweep (O(V + E), noise
-/// next to the sweep).
+/// All-pairs distance statistics over \p G: sources fused 512 per task
+/// (MsBfsFusedWords lane words), tasks spread over the global ThreadPool
+/// (SCG_THREADS=1 forces serial), results byte-identical at every thread
+/// count and to scalarAllPairsStats. This is the engine behind
+/// allPairsStats(const Graph &); call it directly when a Csr is already at
+/// hand (e.g. ExplicitScg::toCsr()). The sweep builds the transpose once
+/// (O(V + E), noise next to the sweep).
 DistanceStats msAllPairsStats(const Csr &G, const MsSweepOptions &Opts);
 DistanceStats msAllPairsStats(const Csr &G);
 

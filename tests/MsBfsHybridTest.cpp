@@ -1,15 +1,14 @@
 //===- tests/MsBfsHybridTest.cpp - Direction-optimizing engine pins ------===//
 //
-// The hybrid (direction-optimizing) MS-BFS engine is pinned against the
-// push reference, which MsBfsTest.cpp pins against scalar bfs() -- so the
-// chain scalar == push == hybrid closes over every family:
+// The direction-optimizing MS-BFS engine is pinned against the scalar
+// oracles -- one bfs() per source and scalarAllPairsStats, which share no
+// code with it:
 //
-//  * msBfsHybrid / msBfsDistancesHybrid byte-identical to the push
-//    engine's batches and rows on every network family at k = 5, star /
-//    rotator at k = 6 (rotator is directed: the transpose really
-//    differs), faulted and disconnected graphs, odd lane counts and
-//    duplicated sources.
-//  * msAllPairsStats: hybrid == push == byte-identical at SCG_THREADS
+//  * msBfs / msBfsDistances byte-identical to one bfs() per source on
+//    every network family at k = 5, star / rotator at k = 6 (rotator is
+//    directed: the transpose really differs), faulted and disconnected
+//    graphs, odd lane counts and duplicated sources.
+//  * msAllPairsStats == scalarAllPairsStats byte for byte at SCG_THREADS
 //    1/2/8 (the `parallel` label's determinism contract).
 //  * distance.* counters: pinned values on star(6), byte-identical at
 //    every thread count, and the pull pass must actually run.
@@ -82,30 +81,43 @@ std::vector<SuperCayleyGraph> allFamiliesK5() {
   return Nets;
 }
 
-/// One batch, both engines: per-lane stats and full distance rows must be
-/// byte-identical (not merely equal as graphs -- the acceptance bar).
-void expectHybridMatchesPush(const Csr &C, const Csr &CT,
-                             std::span<const NodeId> Sources,
-                             const std::string &What) {
-  MsBfsBatch Push = msBfs(C, Sources);
-  MsBfsBatch Hybrid = msBfsHybrid(C, CT, Sources);
-  EXPECT_EQ(Push.Eccentricity, Hybrid.Eccentricity) << What;
-  EXPECT_EQ(Push.NumReached, Hybrid.NumReached) << What;
-  EXPECT_EQ(Push.DistanceSum, Hybrid.DistanceSum) << What;
-  EXPECT_EQ(msBfsDistances(C, Sources), msBfsDistancesHybrid(C, CT, Sources))
-      << What;
+/// One batch against one scalar bfs() per source over \p G: per-lane
+/// stats and full distance rows must be byte-identical (not merely equal
+/// as graphs -- the acceptance bar). \p C is a Csr of the same graph.
+void expectBatchMatchesBfs(const Graph &G, const Csr &C, const Csr &CT,
+                           std::span<const NodeId> Sources,
+                           const std::string &What) {
+  MsBfsBatch Batch = msBfs(C, CT, Sources);
+  std::vector<std::vector<uint32_t>> Rows = msBfsDistances(C, CT, Sources);
+  ASSERT_EQ(Rows.size(), Sources.size()) << What;
+  for (size_t Lane = 0; Lane != Sources.size(); ++Lane) {
+    BfsResult Ref = bfs(G, Sources[Lane]);
+    EXPECT_EQ(Rows[Lane], Ref.Distance) << What << " lane " << Lane;
+    EXPECT_EQ(Batch.Eccentricity[Lane], Ref.Eccentricity) << What;
+    EXPECT_EQ(Batch.NumReached[Lane], Ref.NumReached) << What;
+    EXPECT_EQ(Batch.DistanceSum[Lane], Ref.DistanceSum) << What;
+  }
 }
 
-/// All nodes of \p C as sources, chunked into 64-lane batches.
-void expectAllSourcesMatch(const Csr &C, const std::string &What) {
+/// All nodes of \p G as sources, chunked into 64-lane batches.
+void expectAllSourcesMatch(const Graph &G, const Csr &C,
+                           const std::string &What) {
   Csr CT = C.transpose();
   std::vector<NodeId> All(C.numNodes());
   std::iota(All.begin(), All.end(), 0);
   for (size_t Begin = 0; Begin < All.size(); Begin += MsBfsLanes) {
     size_t Count = std::min<size_t>(MsBfsLanes, All.size() - Begin);
-    expectHybridMatchesPush(C, CT, std::span(All).subspan(Begin, Count),
-                            What + " @" + std::to_string(Begin));
+    expectBatchMatchesBfs(G, C, CT, std::span(All).subspan(Begin, Count),
+                          What + " @" + std::to_string(Begin));
   }
+}
+
+/// Explicit network: the oracle walks toGraph(), the engine toCsr() --
+/// two independent materializations of the same Next table.
+void expectAllSourcesMatch(const SuperCayleyGraph &Scg,
+                           const std::string &What) {
+  ExplicitScg Net(Scg);
+  expectAllSourcesMatch(Net.toGraph(), Net.toCsr(), What);
 }
 
 bool bitEqual(double A, double B) {
@@ -131,22 +143,24 @@ uint64_t counterValue(const MetricsRegistry &M, const std::string &Name) {
   return C ? uint64_t(C->value()) : 0;
 }
 
+// The next two names keep "Push" so test ids stay stable; the oracle is
+// scalar bfs().
 TEST(MsBfsHybrid, MatchesPushOnEveryFamilyFullSourceSet) {
   for (const SuperCayleyGraph &Scg : allFamiliesK5())
-    expectAllSourcesMatch(ExplicitScg(Scg).toCsr(), Scg.name());
+    expectAllSourcesMatch(Scg, Scg.name());
 }
 
 TEST(MsBfsHybrid, MatchesPushAtK6) {
   // Larger undirected instance (720 nodes, 12 batches) and the directed
   // rotator, where the transpose genuinely differs from the forward CSR.
-  expectAllSourcesMatch(ExplicitScg(SuperCayleyGraph::star(6)).toCsr(),
-                        "star6");
-  expectAllSourcesMatch(ExplicitScg(SuperCayleyGraph::rotator(6)).toCsr(),
-                        "rotator6 (directed)");
+  expectAllSourcesMatch(SuperCayleyGraph::star(6), "star6");
+  expectAllSourcesMatch(SuperCayleyGraph::rotator(6), "rotator6 (directed)");
 }
 
 TEST(MsBfsHybrid, OddSourceCountsAndDuplicates) {
-  Csr C = ExplicitScg(SuperCayleyGraph::star(5)).toCsr();
+  ExplicitScg Net(SuperCayleyGraph::star(5));
+  Graph G = Net.toGraph();
+  Csr C = Net.toCsr();
   Csr CT = C.transpose();
   std::vector<NodeId> Scattered;
   for (NodeId I = 0; I != 63; ++I)
@@ -154,8 +168,8 @@ TEST(MsBfsHybrid, OddSourceCountsAndDuplicates) {
   Scattered[20] = Scattered[3]; // duplicated source on two lanes.
   for (size_t Count : {size_t(1), size_t(2), size_t(37), size_t(63),
                        size_t(Scattered.size())})
-    expectHybridMatchesPush(C, CT, std::span(Scattered).first(Count),
-                            "star5 scattered " + std::to_string(Count));
+    expectBatchMatchesBfs(G, C, CT, std::span(Scattered).first(Count),
+                          "star5 scattered " + std::to_string(Count));
 }
 
 TEST(MsBfsHybrid, FaultedAndDisconnectedGraphs) {
@@ -167,14 +181,12 @@ TEST(MsBfsHybrid, FaultedAndDisconnectedGraphs) {
   Faults.failNode(63);
   Faults.failLink(0, G.neighbors(0)[0]);
   Graph Surviving = applyFaults(G, Faults);
-  expectAllSourcesMatch(Csr(Surviving), "faulted star5");
-  MsSweepOptions PushOpts{MsBfsEngine::Push, nullptr};
-  Csr C(Surviving);
-  expectSameStats(msAllPairsStats(C), msAllPairsStats(C, PushOpts),
-                  "faulted star5 sweep");
+  expectAllSourcesMatch(Surviving, Csr(Surviving), "faulted star5");
+  expectSameStats(msAllPairsStats(Csr(Surviving)),
+                  scalarAllPairsStats(Surviving), "faulted star5 sweep");
 
   // Two components plus an isolated node: unreached lanes stay
-  // unreachable and the sweep reports Connected = false on both engines.
+  // unreachable and both sweeps report Connected = false.
   Graph Two(8);
   for (NodeId I = 0; I + 1 != 4; ++I)
     Two.addUndirectedEdge(I, I + 1);
@@ -182,29 +194,25 @@ TEST(MsBfsHybrid, FaultedAndDisconnectedGraphs) {
   Two.addUndirectedEdge(5, 6);
   Two.addUndirectedEdge(6, 4);
   Csr TwoCsr(Two);
-  expectAllSourcesMatch(TwoCsr, "two components");
+  expectAllSourcesMatch(Two, TwoCsr, "two components");
   EXPECT_FALSE(msAllPairsStats(TwoCsr).Connected);
-  EXPECT_FALSE(msAllPairsStats(TwoCsr, PushOpts).Connected);
+  EXPECT_FALSE(scalarAllPairsStats(Two).Connected);
 }
 
 TEST(MsBfsHybrid, SweepEnginesByteIdenticalAcrossThreadCounts) {
   for (const SuperCayleyGraph &Scg :
        {SuperCayleyGraph::star(6), SuperCayleyGraph::rotator(6),
         SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2)}) {
-    Csr C = ExplicitScg(Scg).toCsr();
-    MsSweepOptions PushOpts{MsBfsEngine::Push, nullptr};
+    ExplicitScg Net(Scg);
+    Graph G = Net.toGraph();
+    Csr C = Net.toCsr();
     DistanceStats Ref =
-        withThreads(1, [&] { return msAllPairsStats(C, PushOpts); });
-    for (unsigned Threads : {1u, 2u, 8u}) {
-      expectSameStats(Ref, withThreads(Threads, [&] {
-                        return msAllPairsStats(C, PushOpts);
-                      }),
-                      Scg.name() + " push @" + std::to_string(Threads));
+        withThreads(1, [&] { return scalarAllPairsStats(G); });
+    for (unsigned Threads : {1u, 2u, 8u})
       expectSameStats(Ref, withThreads(Threads, [&] {
                         return msAllPairsStats(C);
                       }),
-                      Scg.name() + " hybrid @" + std::to_string(Threads));
-    }
+                      Scg.name() + " @" + std::to_string(Threads));
   }
 }
 
@@ -215,7 +223,7 @@ TEST(MsBfsHybrid, SweepCountersPinnedAndThreadInvariant) {
   Csr C = ExplicitScg(SuperCayleyGraph::star(6)).toCsr();
   auto Run = [&](unsigned Threads) {
     MetricsRegistry Registry;
-    MsSweepOptions Opts{MsBfsEngine::Hybrid, &Registry};
+    MsSweepOptions Opts{&Registry};
     withThreads(Threads, [&] { return msAllPairsStats(C, Opts); });
     MsBfsCounters Counters;
     Counters.Batches = counterValue(Registry, "distance.batches");
@@ -227,13 +235,14 @@ TEST(MsBfsHybrid, SweepCountersPinnedAndThreadInvariant) {
         counterValue(Registry, "distance.direction_switches");
     return Counters;
   };
+  // The values committed in BENCH_distance.json (all_pairs_hybrid_star6).
   MsBfsCounters Serial = Run(1);
   EXPECT_EQ(Serial.Batches, 12u);
-  EXPECT_GT(Serial.PushLevels, 0u);
-  EXPECT_GT(Serial.PullLevels, 0u);
-  EXPECT_GE(Serial.DirectionSwitches, 1u);
-  EXPECT_GT(Serial.PushWords, 0u);
-  EXPECT_GT(Serial.PullWords, 0u);
+  EXPECT_EQ(Serial.PushLevels, 3u);
+  EXPECT_EQ(Serial.PullLevels, 13u);
+  EXPECT_EQ(Serial.DirectionSwitches, 2u);
+  EXPECT_EQ(Serial.PushWords, 102144u);
+  EXPECT_EQ(Serial.PullWords, 334080u);
   for (unsigned Threads : {2u, 8u}) {
     MsBfsCounters Parallel = Run(Threads);
     EXPECT_EQ(Serial.Batches, Parallel.Batches) << Threads;
@@ -249,16 +258,16 @@ TEST(MsBfsHybrid, SweepCountersPinnedAndThreadInvariant) {
 TEST(MsBfsHybrid, WarmBatchesAreAllocationFree) {
   // A sweep runs tens of thousands of batches through one warm scratch
   // per worker; per-batch heap growth would reintroduce the malloc storm
-  // support/Scratch.h exists to prevent. One cold batch per engine warms
-  // the buffers (and proves warm results match cold ones), then a full
-  // all-sources pass must not allocate at all. Sinks accumulate into
+  // support/Scratch.h exists to prevent. One cold pass warms the buffers
+  // (and proves warm results match cold ones), then a full all-sources
+  // pass must not allocate at all. Sinks accumulate into
   // locals, so any allocation counted here is engine-internal.
   Csr C = ExplicitScg(SuperCayleyGraph::star(5)).toCsr();
   Csr CT = C.transpose();
   const NodeId N = C.numNodes();
   std::vector<NodeId> All(N);
   std::iota(All.begin(), All.end(), 0);
-  MsBfsScratch PushScratch, HybridScratch;
+  MsBfsScratch Scratch;
   uint64_t ColdSum = 0, ColdVisits = 0;
   auto RunAll = [&](uint64_t &Sum, uint64_t &VisitCount) {
     for (size_t Begin = 0; Begin < All.size(); Begin += MsBfsLanes) {
@@ -268,8 +277,7 @@ TEST(MsBfsHybrid, WarmBatchesAreAllocationFree) {
         Sum += uint64_t(Level) * uint64_t(std::popcount(Mask));
         VisitCount += uint64_t(std::popcount(Mask));
       };
-      msBfsCore(C, Chunk, Tally, &PushScratch);
-      msBfsHybridCore(C, CT, Chunk, Tally, nullptr, &HybridScratch);
+      msBfsCore(C, CT, Chunk, Tally, nullptr, &Scratch);
     }
   };
   RunAll(ColdSum, ColdVisits); // cold: buffers grow once.
@@ -280,7 +288,7 @@ TEST(MsBfsHybrid, WarmBatchesAreAllocationFree) {
   EXPECT_EQ(After, Before) << "warm MS-BFS batches touched the heap";
   EXPECT_EQ(ColdSum, WarmSum);
   EXPECT_EQ(ColdVisits, WarmVisits);
-  EXPECT_EQ(WarmVisits, uint64_t(N) * N * 2); // both engines, connected.
+  EXPECT_EQ(WarmVisits, uint64_t(N) * N); // connected: every pair once.
 }
 
 } // namespace

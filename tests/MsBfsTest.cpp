@@ -13,6 +13,10 @@
 //  * msBfsDistanceRow (the TableStore row) == bfs() distances byte for
 //    byte on every family, 0xFF where unreachable, and a throw where a
 //    distance would collide with that sentinel.
+//  * Input checks: msBfsCore / msBfs / msBfsDistances throw
+//    std::invalid_argument on more than 64 sources, a source out of range
+//    or a transpose of the wrong size; msBfsDistanceRow on a source out of
+//    range.
 //  * allPairsStats (now MS-BFS-backed) == scalarAllPairsStats everywhere,
 //    and parallel == serial byte-identity at 1/2/8 threads (the
 //    determinism contract, under the `parallel` ctest label).
@@ -62,8 +66,9 @@ std::vector<SuperCayleyGraph> allFamiliesK5() {
 void expectBatchMatchesScalar(const Graph &G, const Csr &C,
                               std::span<const NodeId> Sources,
                               const std::string &What) {
-  MsBfsBatch Batch = msBfs(C, Sources);
-  std::vector<std::vector<uint32_t>> Rows = msBfsDistances(C, Sources);
+  Csr CT = C.transpose();
+  MsBfsBatch Batch = msBfs(C, CT, Sources);
+  std::vector<std::vector<uint32_t>> Rows = msBfsDistances(C, CT, Sources);
   ASSERT_EQ(Batch.Eccentricity.size(), Sources.size()) << What;
   ASSERT_EQ(Rows.size(), Sources.size()) << What;
   for (size_t Lane = 0; Lane != Sources.size(); ++Lane) {
@@ -148,7 +153,7 @@ TEST(MsBfs, DisconnectedGraphPerLaneReach) {
   std::vector<NodeId> Sources(8);
   std::iota(Sources.begin(), Sources.end(), 0);
   expectBatchMatchesScalar(G, C, Sources, "two components");
-  MsBfsBatch Batch = msBfs(C, Sources);
+  MsBfsBatch Batch = msBfs(C, C.transpose(), Sources);
   EXPECT_EQ(Batch.NumReached[0], 4u);
   EXPECT_EQ(Batch.NumReached[4], 3u);
   EXPECT_EQ(Batch.NumReached[7], 1u); // the isolated node reaches itself.
@@ -258,6 +263,50 @@ TEST(MsBfs, DistanceRowRejectsDistancesBeyondAByte) {
   };
   EXPECT_EQ(msBfsDistanceRow(Path(255), 0).back(), 254);
   EXPECT_THROW(msBfsDistanceRow(Path(256), 0), std::length_error);
+}
+
+/// Runs \p Sources through every public 64-lane entry point, each of
+/// which must reject the input before traversing.
+void expectEveryEntryPointRejects(const Csr &C, const Csr &CT,
+                                  std::span<const NodeId> Sources) {
+  auto Ignore = [](NodeId, uint64_t, uint32_t) {};
+  EXPECT_THROW(msBfsCore(C, CT, Sources, Ignore), std::invalid_argument);
+  EXPECT_THROW(msBfs(C, CT, Sources), std::invalid_argument);
+  EXPECT_THROW(msBfsDistances(C, CT, Sources), std::invalid_argument);
+}
+
+TEST(MsBfs, RejectsMoreThan64Sources) {
+  Csr C = ExplicitScg(SuperCayleyGraph::star(5)).toCsr();
+  std::vector<NodeId> Sources(MsBfsLanes + 1);
+  std::iota(Sources.begin(), Sources.end(), NodeId(0));
+  expectEveryEntryPointRejects(C, C.transpose(), Sources);
+  // One word's worth is the limit, not past it.
+  Sources.pop_back();
+  EXPECT_EQ(msBfs(C, C.transpose(), Sources).NumReached.size(), MsBfsLanes);
+}
+
+TEST(MsBfs, RejectsSourceOutOfRange) {
+  Csr C = ExplicitScg(SuperCayleyGraph::star(4)).toCsr();
+  std::vector<NodeId> Sources = {0, 5, C.numNodes()};
+  expectEveryEntryPointRejects(C, C.transpose(), Sources);
+}
+
+TEST(MsBfs, RejectsMismatchedTranspose) {
+  Csr C = ExplicitScg(SuperCayleyGraph::star(4)).toCsr();
+  std::vector<NodeId> Sources = {0, 1};
+  // Wrong node count, then the right node count with missing edges.
+  expectEveryEntryPointRejects(
+      C, ExplicitScg(SuperCayleyGraph::star(5)).toCsr(), Sources);
+  Graph Sparse(C.numNodes());
+  Sparse.addUndirectedEdge(0, 1);
+  expectEveryEntryPointRejects(C, Csr(Sparse), Sources);
+}
+
+TEST(MsBfs, DistanceRowRejectsSourceOutOfRange) {
+  Csr C = ExplicitScg(SuperCayleyGraph::star(4)).toCsr();
+  EXPECT_EQ(msBfsDistanceRow(C, C.numNodes() - 1).size(), C.numNodes());
+  EXPECT_THROW(msBfsDistanceRow(C, C.numNodes()), std::invalid_argument);
+  EXPECT_THROW(msBfsDistanceRow(Csr(Graph(0)), 0), std::invalid_argument);
 }
 
 TEST(MsBfs, LeanReachabilityAgreesWithBfs) {
