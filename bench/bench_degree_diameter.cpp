@@ -27,6 +27,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceMetrics.h"
+
 #include "graph/Metrics.h"
 #include "graph/MooreBounds.h"
 #include "graph/MsBfs.h"

@@ -33,12 +33,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceMetrics.h"
+
 #include "graph/Metrics.h"
 #include "graph/MsBfs.h"
 #include "networks/Clusters.h"
 #include "networks/Explicit.h"
 #include "perm/GroupOrder.h"
-#include "support/BatchRunner.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
@@ -86,17 +87,14 @@ void printInventory() {
   Table.setHeader({"network", "k", "nodes", "degree", "directed", "diameter",
                    "avg dist", "S_k cert", "clusters"});
 
-  // Every inventory row is independent; build them as a parallel batch and
-  // print in submission order.
-  BatchRunner<std::vector<std::string>> Rows;
-  auto Queue = [&](SuperCayleyGraph Scg) {
-    Rows.add([Scg = std::move(Scg)] { return networkRow(Scg); });
-  };
+  // Every inventory row is independent; build them in parallel (one
+  // network per chunk) and print in submission order.
+  std::vector<SuperCayleyGraph> Nets;
   for (unsigned K : {5u, 6u, 7u}) {
-    Queue(SuperCayleyGraph::star(K));
-    Queue(SuperCayleyGraph::bubbleSort(K));
-    Queue(SuperCayleyGraph::transpositionNetwork(K));
-    Queue(SuperCayleyGraph::insertionSelection(K));
+    Nets.push_back(SuperCayleyGraph::star(K));
+    Nets.push_back(SuperCayleyGraph::bubbleSort(K));
+    Nets.push_back(SuperCayleyGraph::transpositionNetwork(K));
+    Nets.push_back(SuperCayleyGraph::insertionSelection(K));
   }
   for (auto [L, N] : {std::pair{2u, 2u}, {3u, 2u}, {2u, 3u}, {4u, 2u}}) {
     for (NetworkKind Kind :
@@ -106,9 +104,13 @@ void printInventory() {
           NetworkKind::MacroIS, NetworkKind::RotationIS,
           NetworkKind::CompleteRotationIS})
       if (L * N + 1 <= 9)
-        Queue(SuperCayleyGraph::create(Kind, L, N));
+        Nets.push_back(SuperCayleyGraph::create(Kind, L, N));
   }
-  for (std::vector<std::string> &Row : Rows.run())
+  std::vector<std::vector<std::string>> Rows(Nets.size());
+  ThreadPool::global().parallelFor(
+      0, Nets.size(), [&](uint64_t I) { Rows[I] = networkRow(Nets[I]); },
+      /*ChunkSize=*/1);
+  for (std::vector<std::string> &Row : Rows)
     Table.addRow(std::move(Row));
   std::printf("%s\n", Table.render().c_str());
   std::printf("note: the paper's headline trade-off is visible in the "

@@ -141,8 +141,8 @@ SimulationResult NetworkSimulator::run(uint64_t MaxSteps) {
                    });
   // One dispatch on entry: the uninstrumented loop contains no observer
   // code at all, so observability is free when no observer is attached.
-  return Observers.empty() && !AlwaysInstrument ? runImpl<false>(MaxSteps)
-                                                : runImpl<true>(MaxSteps);
+  return Observers.empty() ? runImpl<false>(MaxSteps)
+                           : runImpl<true>(MaxSteps);
 }
 
 namespace {
@@ -221,12 +221,6 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   std::vector<uint32_t> NodeQueued(ClosedLoopMaxQueue ? N : 0, 0);
   uint64_t TotalQueued = 0;
   uint64_t Work = 0;
-  // Observed with no observer attached (forceInstrumentation) keeps the
-  // instrumented branches but builds no records: that is the disabled-hook
-  // path the perf-smoke overhead budget measures. In the Observed = false
-  // instantiation Collect folds to false and the branches vanish.
-  const bool Collect = Observed && !Observers.empty();
-
   /// Appends packet \p Id to queue \p Q; returns the new queue length.
   auto Push = [&](size_t Q, uint32_t Id) {
     LinkQueue &L = Queue[Q];
@@ -322,7 +316,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     Result.MaxQueueLength = std::max(Result.MaxQueueLength, PendingMax);
     PendingMax = 0;
     Moved.clear();
-    if (Collect) {
+    if constexpr (Observed) {
       Events.clear();
       Events.Step = Step;
     }
@@ -349,7 +343,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       if (P.RouteLen == 0) {
         ++Result.Delivered;
         DeliveryStep[Inj.Id] = Step;
-        if (Collect)
+        if constexpr (Observed)
           Events.Deliveries.push_back(Inj.Id);
         return true;
       }
@@ -372,7 +366,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     }
 
     QueuedSum += TotalQueued;
-    if (Collect) {
+    if constexpr (Observed) {
       Events.QueuedPackets = TotalQueued;
       uint64_t Uncounted = 0; // observer-only scan: not engine work.
       forEachSetBit(NonEmpty, 0, Links, Uncounted, [&](size_t B) {
@@ -390,7 +384,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         // Occupied this step by a transmission selected earlier (its
         // selection step was counted at selection time).
         ++Result.BusyLinkSteps;
-        if (Collect)
+        if constexpr (Observed)
           Events.Active.push_back({NodeId(Q / D), GenIndex(Q % D), Id,
                                    Packets[Id].Flits, false});
         if (LinkFreeAt[Q] != Step + 1)
@@ -415,7 +409,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       // The link is occupied from this step on (one step for a unit
       // packet, Flits steps for a store-and-forward message).
       ++Result.BusyLinkSteps;
-      if (Collect)
+      if constexpr (Observed)
         Events.Active.push_back(
             {NodeId(Q / D), GenIndex(Q % D), Id, P.Flits, true});
       if (P.Flits > 1) {
@@ -468,7 +462,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     }
     case CommModel::SingleDimension: {
       GenIndex G = DimensionCycle[Step % DimensionCycle.size()];
-      if (Collect) {
+      if constexpr (Observed) {
         Events.ScheduledLink = G;
         Events.HasScheduledLink = true;
       }
@@ -490,14 +484,14 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         ++Result.Delivered;
         --Pending;
         DeliveryStep[M.Id] = Step;
-        if (Collect)
+        if constexpr (Observed)
           Events.Deliveries.push_back(M.Id);
         continue;
       }
       PendingMax = std::max(PendingMax, Push(M.NextQueue, M.Id));
     }
 
-    if (Collect) {
+    if constexpr (Observed) {
       for (const Move &M : Moved)
         Events.Arrivals.push_back(M.Id);
       for (SimObserver *O : Observers)

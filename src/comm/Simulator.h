@@ -173,12 +173,6 @@ public:
   /// moves, every queue is empty).
   void addObserver(SimObserver *Observer);
 
-  /// Runs the instrumented loop even with no observer attached; its
-  /// record-building branches stay switched off, so the perf-smoke lane can
-  /// measure the hook overhead of the disabled observability layer
-  /// (asserted <= 2% by bench_pipelining --smoke). Results are unaffected.
-  void forceInstrumentation(bool On) { AlwaysInstrument = On; }
-
   /// Runs until every packet (including scheduled injections) is delivered
   /// or \p MaxSteps elapse. A simulator runs once; a second call throws
   /// std::logic_error.
@@ -229,9 +223,9 @@ private:
   std::pair<uint32_t, uint32_t> appendRoute(std::span<const GenIndex> Route);
 
   /// The engine loop. Instantiated twice: Observed = false is the hot loop
-  /// with no event collection (selected whenever no observer is attached
-  /// and instrumentation is not forced); Observed = true builds a
-  /// StepEvents record per processed step.
+  /// with no event collection (selected whenever no observer is
+  /// attached); Observed = true builds a StepEvents record per processed
+  /// step.
   template <bool Observed> SimulationResult runImpl(uint64_t MaxSteps);
 
   const ExplicitScg &Net;
@@ -245,7 +239,6 @@ private:
   std::vector<TimedInjection> Injections; ///< future injections, by Step.
   std::vector<GenIndex> DimensionCycle;
   std::vector<SimObserver *> Observers;
-  bool AlwaysInstrument = false;
   bool Ran = false;
   std::vector<uint64_t> DeliveryStep; ///< filled by run().
   uint64_t QueuedSum = 0;             ///< filled by run().

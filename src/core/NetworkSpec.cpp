@@ -3,6 +3,7 @@
 #include "core/NetworkSpec.h"
 
 #include <cctype>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -40,19 +41,11 @@ bool splitSpec(const std::string &Spec, std::string &Name, unsigned &A,
          ParseNumber(Args.substr(Comma + 1), B);
 }
 
-} // namespace
-
-std::optional<SuperCayleyGraph>
-scg::parseNetworkSpec(const std::string &Spec) {
-  std::string Name;
-  unsigned A = 0, B = 0;
-  bool HasB = false;
-  if (!splitSpec(Spec, Name, A, HasB, B))
-    return std::nullopt;
-
+/// Builds the network \p Name names, or nullopt for an unknown name. The
+/// factories own the range checks on k, l and n.
+std::optional<SuperCayleyGraph> buildSpec(const std::string &Name, unsigned A,
+                                          bool HasB, unsigned B) {
   if (!HasB) {
-    if (A < 2)
-      return std::nullopt;
     if (Name == "star")
       return SuperCayleyGraph::star(A);
     if (Name == "bubble-sort")
@@ -66,8 +59,6 @@ scg::parseNetworkSpec(const std::string &Spec) {
     return std::nullopt;
   }
 
-  if (A < 2 || B < 1)
-    return std::nullopt;
   struct Entry {
     const char *Name;
     NetworkKind Kind;
@@ -87,4 +78,20 @@ scg::parseNetworkSpec(const std::string &Spec) {
     if (Name == E.Name)
       return SuperCayleyGraph::create(E.Kind, A, B);
   return std::nullopt;
+}
+
+} // namespace
+
+std::optional<SuperCayleyGraph>
+scg::parseNetworkSpec(const std::string &Spec) {
+  std::string Name;
+  unsigned A = 0, B = 0;
+  bool HasB = false;
+  if (!splitSpec(Spec, Name, A, HasB, B))
+    return std::nullopt;
+  try {
+    return buildSpec(Name, A, HasB, B);
+  } catch (const std::invalid_argument &) {
+    return std::nullopt; // a parameter out of the factory's range.
+  }
 }

@@ -24,8 +24,8 @@ namespace scg {
 
 /// Parses \p Spec ("<kind>(<k>)" for single-level networks,
 /// "<kind>(<l>,<n>)" for the box classes); returns nullopt on malformed
-/// input. Accepts every name networkKindName produces except
-/// "T-tree" (which needs its edge list).
+/// input, including parameters the factory rejects. Accepts every name
+/// networkKindName produces except "T-tree" (which needs its edge list).
 std::optional<SuperCayleyGraph> parseNetworkSpec(const std::string &Spec);
 
 } // namespace scg

@@ -5,6 +5,7 @@
 #include "perm/Lehmer.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -56,6 +57,39 @@ bool scg::isDirectedKind(NetworkKind Kind) {
     return false;
   }
 }
+
+namespace {
+
+/// True for the nine l-level classes create() builds.
+bool isMultiLevelKind(NetworkKind Kind) {
+  switch (Kind) {
+  case NetworkKind::MacroStar:
+  case NetworkKind::RotationStar:
+  case NetworkKind::CompleteRotationStar:
+  case NetworkKind::MacroRotator:
+  case NetworkKind::RotationRotator:
+  case NetworkKind::CompleteRotationRotator:
+  case NetworkKind::MacroIS:
+  case NetworkKind::RotationIS:
+  case NetworkKind::CompleteRotationIS:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// Labels store one symbol per byte (perm/Permutation.h).
+constexpr uint64_t MaxSymbols = 255;
+
+/// Throws std::invalid_argument unless a single-level network on \p K
+/// symbols has at least one generator and its labels fit a Permutation.
+void requireSymbols(unsigned K, const char *Network) {
+  if (K < 2 || K > MaxSymbols)
+    throw std::invalid_argument(std::string(Network) +
+                                " needs 2 <= k <= 255");
+}
+
+} // namespace
 
 /// Adds the nucleus generators of \p Kind for boxes of size \p N, acting on
 /// \p K symbols: T_i for the star-nucleus classes, I_i (and I_i^-1 for the
@@ -118,7 +152,15 @@ static void addSuper(GeneratorSet &Gens, NetworkKind Kind, unsigned K,
 
 SuperCayleyGraph SuperCayleyGraph::create(NetworkKind Kind, unsigned L,
                                           unsigned N) {
-  assert(L >= 2 && N >= 1 && "a super Cayley graph needs l >= 2 boxes");
+  if (!isMultiLevelKind(Kind))
+    throw std::invalid_argument(networkKindName(Kind) +
+                                " is not a multi-level super Cayley graph "
+                                "class; use its named constructor");
+  if (L < 2 || N < 1)
+    throw std::invalid_argument(
+        "a super Cayley graph needs l >= 2 boxes of n >= 1 balls");
+  if (uint64_t(L) * N + 1 > MaxSymbols)
+    throw std::invalid_argument("a super Cayley graph needs l * n + 1 <= 255");
   unsigned K = L * N + 1;
   GeneratorSet Gens;
   addNucleus(Gens, Kind, K, N);
@@ -127,7 +169,7 @@ SuperCayleyGraph SuperCayleyGraph::create(NetworkKind Kind, unsigned L,
 }
 
 SuperCayleyGraph SuperCayleyGraph::star(unsigned K) {
-  assert(K >= 2 && "a star graph needs k >= 2");
+  requireSymbols(K, "a star graph");
   GeneratorSet Gens;
   for (unsigned I = 2; I <= K; ++I)
     Gens.add(makeTransposition(K, I));
@@ -135,7 +177,7 @@ SuperCayleyGraph SuperCayleyGraph::star(unsigned K) {
 }
 
 SuperCayleyGraph SuperCayleyGraph::bubbleSort(unsigned K) {
-  assert(K >= 2 && "a bubble-sort graph needs k >= 2");
+  requireSymbols(K, "a bubble-sort graph");
   GeneratorSet Gens;
   for (unsigned I = 1; I + 1 <= K; ++I)
     Gens.add(makeAdjacentTransposition(K, I));
@@ -143,7 +185,7 @@ SuperCayleyGraph SuperCayleyGraph::bubbleSort(unsigned K) {
 }
 
 SuperCayleyGraph SuperCayleyGraph::transpositionNetwork(unsigned K) {
-  assert(K >= 2 && "a transposition network needs k >= 2");
+  requireSymbols(K, "a transposition network");
   GeneratorSet Gens;
   for (unsigned I = 1; I != K; ++I)
     for (unsigned J = I + 1; J <= K; ++J)
@@ -154,7 +196,10 @@ SuperCayleyGraph SuperCayleyGraph::transpositionNetwork(unsigned K) {
 
 SuperCayleyGraph SuperCayleyGraph::transpositionTree(
     unsigned K, const std::vector<std::pair<unsigned, unsigned>> &Edges) {
-  assert(K >= 2 && Edges.size() == K - 1 && "a tree on k vertices has k-1 edges");
+  requireSymbols(K, "a transposition tree");
+  if (Edges.size() != K - 1)
+    throw std::invalid_argument(
+        "a transposition tree on k vertices needs k - 1 edges");
   // Union-find acyclicity/connectivity check.
   std::vector<unsigned> Root(K);
   for (unsigned I = 0; I != K; ++I)
@@ -166,10 +211,12 @@ SuperCayleyGraph SuperCayleyGraph::transpositionTree(
   };
   GeneratorSet Gens;
   for (auto [I, J] : Edges) {
-    assert(I >= 1 && J >= 1 && I <= K && J <= K && I != J &&
-           "tree edge out of range");
+    if (I < 1 || J < 1 || I > K || J > K || I == J)
+      throw std::invalid_argument(
+          "transposition tree edge must join two distinct vertices 1..k");
     unsigned A = Find(I - 1), B = Find(J - 1);
-    assert(A != B && "transposition tree contains a cycle");
+    if (A == B)
+      throw std::invalid_argument("transposition tree contains a cycle");
     Root[A] = B;
     Gens.add(makePairTransposition(K, std::min(I, J), std::max(I, J)));
   }
@@ -178,7 +225,7 @@ SuperCayleyGraph SuperCayleyGraph::transpositionTree(
 }
 
 SuperCayleyGraph SuperCayleyGraph::rotator(unsigned K) {
-  assert(K >= 2 && "a rotator graph needs k >= 2");
+  requireSymbols(K, "a rotator graph");
   GeneratorSet Gens;
   for (unsigned I = 2; I <= K; ++I)
     Gens.add(makeInsertion(K, I));
@@ -186,7 +233,7 @@ SuperCayleyGraph SuperCayleyGraph::rotator(unsigned K) {
 }
 
 SuperCayleyGraph SuperCayleyGraph::insertionSelection(unsigned K) {
-  assert(K >= 2 && "an IS network needs k >= 2");
+  requireSymbols(K, "an IS network");
   GeneratorSet Gens;
   for (unsigned I = 2; I <= K; ++I) {
     Gens.add(makeInsertion(K, I));

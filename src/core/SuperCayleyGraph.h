@@ -64,10 +64,13 @@ public:
   /// Builds an l-level super Cayley graph of class \p Kind with \p L boxes
   /// of \p N balls each (k = l*n + 1). For the single-level classes (Star,
   /// BubbleSort, Transposition, InsertionSelection) use the k-based named
-  /// constructors below instead.
+  /// constructors below instead. Throws std::invalid_argument when \p Kind
+  /// is not one of the nine l-level classes, l < 2, n < 1 or
+  /// k = l*n + 1 > 255 (the Permutation symbol limit).
   static SuperCayleyGraph create(NetworkKind Kind, unsigned L, unsigned N);
 
-  /// k-dimensional star graph.
+  /// k-dimensional star graph. This and every other k-based constructor
+  /// throws std::invalid_argument unless 2 <= k <= 255.
   static SuperCayleyGraph star(unsigned K);
   /// k-dimensional bubble-sort graph.
   static SuperCayleyGraph bubbleSort(unsigned K);
@@ -79,7 +82,8 @@ public:
   /// one generator T_{i,j} per tree edge (1-based vertex pairs). The
   /// Akers-Krishnamurthy model [2] the super Cayley graphs refine; the
   /// star graph is the star tree and the bubble-sort graph the path.
-  /// Asserts \p Edges forms a spanning tree.
+  /// Throws std::invalid_argument unless \p Edges forms a spanning tree
+  /// (k - 1 edges between distinct vertices 1..k, no cycle).
   static SuperCayleyGraph
   transpositionTree(unsigned K,
                     const std::vector<std::pair<unsigned, unsigned>> &Edges);

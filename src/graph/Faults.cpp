@@ -49,12 +49,11 @@ ReachabilityAnalysis sweepSurvivors(const Graph &G, const FaultSet &Faults,
   const Csr Surviving(applyFaults(G, Faults));
   const Csr Reverse = Surviving.transpose();
   MsBfsScratch &Scratch = threadScratch<MsBfsScratch>();
-  constexpr size_t GroupLanes = size_t(MsBfsLanes) * MsBfsFusedWords;
   Analysis.Connected = true;
   uint32_t MaxEccentricity = 0;
-  for (size_t Begin = 0; Begin < Healthy.size(); Begin += GroupLanes) {
+  for (size_t Begin = 0; Begin < Healthy.size(); Begin += MsBfsGroupLanes) {
     std::span<const NodeId> Group = std::span(Healthy).subspan(
-        Begin, std::min(GroupLanes, Healthy.size() - Begin));
+        Begin, std::min<size_t>(MsBfsGroupLanes, Healthy.size() - Begin));
     // Per-level lane arrivals are all either analysis needs: visits count
     // every lane's source too, so a group reaches Visits - |Group| ordered
     // pairs, is fully connected iff every lane saw every healthy node, and
@@ -67,8 +66,8 @@ ReachabilityAnalysis sweepSurvivors(const Graph &G, const FaultSet &Faults,
         LastLevel = Level; // ascending levels, fired only on arrivals.
       }
     } Tally;
-    detail::msBfsFusedImpl<MsBfsFusedWords, false>(Surviving, Reverse, Group,
-                                                   Tally, nullptr, Scratch);
+    detail::msBfsFusedImpl<false>(Surviving, Reverse, Group, Tally, nullptr,
+                                  Scratch);
     Analysis.ReachableOrderedPairs += Tally.Visits - Group.size();
     MaxEccentricity = std::max(MaxEccentricity, Tally.LastLevel);
     if (Tally.Visits != Group.size() * Analysis.HealthyNodes) {

@@ -17,9 +17,9 @@
 /// per fused task over CSR adjacency, push/pull switched per level, tasks
 /// spread across the ThreadPool -- which is what makes exact sweeps at
 /// k = 9 (362,880 nodes) routine and k = 10 (3.6M nodes) an hours-scale
-/// run. scalarAllPairsStats (one bfs() per source) shares no traversal
-/// code with it and is the independent oracle it is pinned against byte
-/// for byte.
+/// run. The tests pin it byte for byte against an independent oracle
+/// that shares no traversal code with it: one bfs() per source
+/// (tests/ReferenceMetrics.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,16 +40,9 @@ struct DistanceStats {
 /// All-pairs statistics via bit-parallel multi-source BFS (512 sources
 /// per fused task), parallel over tasks on the global ThreadPool (SCG_THREADS=1
 /// forces serial). Results are byte-identical at every thread count and
-/// to scalarAllPairsStats. For a disconnected graph, returns
+/// to one bfs() per source. For a disconnected graph, returns
 /// Connected=false with zeroed Diameter/AverageDistance.
 DistanceStats allPairsStats(const Graph &G);
-
-/// The scalar oracle: one bfs() per source, parallel over source nodes.
-/// Kept as the independent differential baseline for the bit-parallel
-/// engine (tests/MsBfsTest.cpp, tests/MsBfsHybridTest.cpp, the
-/// bench_network_properties and bench_degree_diameter smoke gates);
-/// prefer allPairsStats everywhere else.
-DistanceStats scalarAllPairsStats(const Graph &G);
 
 /// Single-BFS statistics from \p Representative, valid for vertex-transitive
 /// graphs; \p Representative defaults to node 0.

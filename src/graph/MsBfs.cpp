@@ -12,74 +12,6 @@
 
 using namespace scg;
 
-namespace {
-
-/// Per-lane statistics sink for msBfs.
-struct BatchSink {
-  MsBfsBatch &Batch;
-  void operator()(NodeId, uint64_t NewMask, uint32_t Level) const {
-    // Peel the newly arrived lanes; levels are ascending, so assigning the
-    // eccentricity each time leaves the per-lane maximum behind.
-    do {
-      unsigned Lane = unsigned(std::countr_zero(NewMask));
-      Batch.Eccentricity[Lane] = Level;
-      ++Batch.NumReached[Lane];
-      Batch.DistanceSum[Lane] += Level;
-      NewMask &= NewMask - 1;
-    } while (NewMask);
-  }
-};
-
-MsBfsBatch makeBatch(size_t Lanes) {
-  MsBfsBatch Batch;
-  Batch.Eccentricity.assign(Lanes, 0);
-  Batch.NumReached.assign(Lanes, 0);
-  Batch.DistanceSum.assign(Lanes, 0);
-  return Batch;
-}
-
-/// Distance-matrix sink for msBfsDistances.
-struct RowsSink {
-  std::vector<std::vector<uint32_t>> &Rows;
-  void operator()(NodeId Node, uint64_t NewMask, uint32_t Level) const {
-    do {
-      Rows[unsigned(std::countr_zero(NewMask))][Node] = Level;
-      NewMask &= NewMask - 1;
-    } while (NewMask);
-  }
-};
-
-} // namespace
-
-void scg::detail::checkMsBfsInputs(const Csr &G, const Csr &GT,
-                                   std::span<const NodeId> Sources) {
-  if (Sources.size() > MsBfsLanes)
-    throw std::invalid_argument("MS-BFS: more than 64 sources in one batch");
-  for (NodeId Src : Sources)
-    if (Src >= G.numNodes())
-      throw std::invalid_argument("MS-BFS: source is not a node of the graph");
-  if (GT.numNodes() != G.numNodes() || GT.numEdges() != G.numEdges())
-    throw std::invalid_argument(
-        "MS-BFS: transpose does not match the graph's node and edge counts");
-}
-
-MsBfsBatch scg::msBfs(const Csr &G, const Csr &GT,
-                      std::span<const NodeId> Sources) {
-  MsBfsBatch Batch = makeBatch(Sources.size());
-  msBfsCore(G, GT, Sources, BatchSink{Batch});
-  return Batch;
-}
-
-std::vector<std::vector<uint32_t>>
-scg::msBfsDistances(const Csr &G, const Csr &GT,
-                    std::span<const NodeId> Sources) {
-  std::vector<std::vector<uint32_t>> Rows(
-      Sources.size(),
-      std::vector<uint32_t>(G.numNodes(), UnreachableDistance));
-  msBfsCore(G, GT, Sources, RowsSink{Rows});
-  return Rows;
-}
-
 std::vector<uint8_t> scg::msBfsDistanceRow(const Csr &G, NodeId Source) {
   const NodeId N = G.numNodes();
   if (Source >= N)
@@ -111,8 +43,8 @@ std::vector<uint8_t> scg::msBfsDistanceRow(const Csr &G, NodeId Source) {
 
 namespace {
 
-/// Order-independent batch partial (AND / max / exact sums), identical in
-/// shape to the scalar sweep's accumulator so both sweeps fold the same
+/// Order-independent group partial (AND / max / exact sums), identical in
+/// shape to the scalar oracle's accumulator so both sweeps fold the same
 /// integers into the same double at the end. Counters ride along as
 /// more exact sums.
 struct SweepAccum {
@@ -142,12 +74,11 @@ DistanceStats scg::msAllPairsStats(const Csr &G, const MsSweepOptions &Opts) {
   // order) for the undirected families, but built generically so directed
   // graphs pull from true in-neighbors. One O(V + E) build per sweep.
   const Csr GT = G.transpose();
-  // Each task fuses 8 batches (512 sources, one lane cache line per
-  // node). Sweep statistics are per-(source, node) sums / maxima, so the
+  // Each task runs one 512-source group (one lane cache line per node).
+  // Sweep statistics are per-(source, node) sums / maxima, so the
   // grouping cannot change any result bit.
-  const uint64_t GroupLanes = uint64_t(MsBfsLanes) * MsBfsFusedWords;
-  const uint64_t NumGroups = (N + GroupLanes - 1) / GroupLanes;
-  // Group g owns sources [g * GroupLanes, ...); groups are independent
+  const uint64_t NumGroups = (N + MsBfsGroupLanes - 1) / MsBfsGroupLanes;
+  // Group g owns sources [g * MsBfsGroupLanes, ...); groups are independent
   // (each worker thread reuses its own scratch), and the early-out flag
   // can only make a doomed sweep cheaper, never change its result.
   std::atomic<bool> Disconnected{false};
@@ -159,8 +90,8 @@ DistanceStats scg::msAllPairsStats(const Csr &G, const MsSweepOptions &Opts) {
           One.AllConnected = false;
           return One;
         }
-        NodeId Begin = NodeId(Group * GroupLanes);
-        NodeId End = NodeId(std::min<uint64_t>(N, Begin + GroupLanes));
+        NodeId Begin = NodeId(Group * MsBfsGroupLanes);
+        NodeId End = NodeId(std::min<uint64_t>(N, Begin + MsBfsGroupLanes));
         MsBfsScratch &Scratch = threadScratch<MsBfsScratch>();
         Scratch.Sources.resize(End - Begin);
         std::iota(Scratch.Sources.begin(), Scratch.Sources.end(), Begin);
@@ -181,11 +112,11 @@ DistanceStats scg::msAllPairsStats(const Csr &G, const MsSweepOptions &Opts) {
           }
         } Sink{One, Visits};
         if (Counted)
-          detail::msBfsFusedImpl<MsBfsFusedWords, true>(
-              G, GT, Scratch.Sources, Sink, &One.Counters, Scratch);
+          detail::msBfsFusedImpl<true>(G, GT, Scratch.Sources, Sink,
+                                       &One.Counters, Scratch);
         else
-          detail::msBfsFusedImpl<MsBfsFusedWords, false>(
-              G, GT, Scratch.Sources, Sink, nullptr, Scratch);
+          detail::msBfsFusedImpl<false>(G, GT, Scratch.Sources, Sink, nullptr,
+                                        Scratch);
         if (Visits != N * Scratch.Sources.size()) {
           Disconnected.store(true, std::memory_order_relaxed);
           One = SweepAccum{};

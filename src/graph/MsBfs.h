@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Bit-parallel multi-source BFS over CSR adjacency: up to 64 sources
-/// advance together, one bit lane per source. Each node carries 64-bit
-/// seen / frontier words; a word update does the work of up to 64 scalar
-/// BFS visits, which is what pushes exact all-pairs and fault sweeps from
-/// k = 7 into k = 9/10 territory.
+/// Bit-parallel multi-source BFS over CSR adjacency: 512 sources advance
+/// together, one bit lane per source. Each node carries MsBfsFusedWords
+/// = 8 consecutive 64-bit seen / frontier words -- one full cache line
+/// per node per bitmap -- so a line update does the work of up to 512
+/// scalar BFS visits, which is what pushes exact all-pairs and fault
+/// sweeps from k = 7 into k = 9/10 territory.
 ///
 /// There is one engine, direction-optimizing (Beamer-style). Sparse levels
 /// run a push pass over an explicit frontier worklist (no O(N) scans);
@@ -20,32 +21,27 @@
 /// batch. A frontier-density heuristic (pure function of worklist sizes,
 /// so fully deterministic) switches direction per level.
 ///
-/// The engine is a W-lane-word fused implementation
-/// (detail::msBfsFusedImpl): each node carries W consecutive 64-bit lane
-/// words, so one task advances 64*W sources and every random bitmap
-/// access touches W*8 contiguous bytes. msAllPairsStats and the fault
-/// analyses (graph/Faults.h) instantiate W = MsBfsFusedWords = 8 -- one
-/// full cache line per node per bitmap -- which is where most of the
-/// engine's memory-bandwidth win comes from; msBfsCore is the public
-/// 64-lane (W = 1) form. Sinks exposing a `level(Level, NewVisits)`
-/// member get one per-level popcount tally instead of hundreds of
-/// millions of per-word callbacks.
+/// The engine is detail::msBfsFusedImpl. Its library callers are
+/// msAllPairsStats and the fault analyses (graph/Faults.h), both of which
+/// pass a sink exposing a `level(Level, NewVisits)` member and so get one
+/// per-level popcount tally instead of hundreds of millions of per-word
+/// callbacks; a plain per-node visitor is what the differential tests
+/// use to rebuild full distance rows.
 ///
 /// Bitmap arrays and worklists come from per-thread reusable scratch
-/// (support/Scratch.h) -- a 56k-batch sweep at k = 10 would otherwise
-/// malloc three multi-megabyte arrays per batch.
+/// (support/Scratch.h) -- a 7k-group sweep at k = 10 would otherwise
+/// malloc three multi-megabyte arrays per group.
 ///
 /// Determinism: traversal is bit algebra over fixed node orders, so a
-/// batch's visit sequence is a pure function of (graph, source list).
+/// group's visit sequence is a pure function of (graph, source list).
 /// Levels ascend; within a level the order is deterministic (worklist
 /// order, not node order), and all in-tree sinks fold with
 /// order-independent operations (integer sums / max / OR). The
-/// independent oracles are scalar bfs() and scalarAllPairsStats
-/// (graph/Bfs.h, graph/Metrics.h): tests/MsBfsTest.cpp and
-/// tests/MsBfsHybridTest.cpp pin batches, rows and sweeps against them
-/// byte for byte. msAllPairsStats reduces batches through the
-/// ThreadPool's order-independent fold, so parallel runs are
-/// byte-identical to serial.
+/// independent oracles are scalar bfs() (graph/Bfs.h) and the
+/// one-bfs()-per-source sweep in tests/ReferenceMetrics.h:
+/// tests/MsBfsTest.cpp pins per-node rows and whole sweeps against them
+/// byte for byte. msAllPairsStats reduces groups through the ThreadPool's
+/// order-independent fold, so parallel runs are byte-identical to serial.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,19 +64,17 @@ namespace scg {
 
 class MetricsRegistry;
 
-/// Number of BFS sources a single batch advances in bit-parallel: one per
-/// bit of the per-node frontier word.
-constexpr unsigned MsBfsLanes = 64;
-
-/// Lane words per node in the fused all-pairs sweep: 8 words = 512
-/// sources per task = one full 64-byte cache line per node, so every
-/// random bitmap access during push scatter / pull gather uses the whole
-/// line it faults in instead of one eighth of it. Sweep statistics are
-/// sums / maxima over (source, node) pairs, so regrouping 64-lane batches
-/// into 512-lane tasks cannot change any result bit.
+/// Lane words per node: 8 words = one full 64-byte cache line per node,
+/// so every random bitmap access during push scatter / pull gather uses
+/// the whole line it faults in instead of one eighth of it. Sweep
+/// statistics are sums / maxima over (source, node) pairs, so the group
+/// size cannot change any result bit.
 constexpr unsigned MsBfsFusedWords = 8;
 
-/// Reusable per-batch state. One batch needs three N-word bitmap arrays
+/// Sources one engine run advances together: one bit lane per source.
+constexpr unsigned MsBfsGroupLanes = 64 * MsBfsFusedWords;
+
+/// Reusable per-group state. One group needs three 8N-word bitmap arrays
 /// plus up-to-N-entry worklists; the engine assign()s/clear()s every field
 /// it uses, so a warm scratch object is observationally identical to a
 /// fresh one (support/Scratch.h contract). msAllPairsStats keeps one per
@@ -91,7 +85,7 @@ struct MsBfsScratch {
   std::vector<NodeId> CurList;  ///< nodes with a nonzero frontier word.
   std::vector<NodeId> NextList; ///< nodes touched while building the next level.
   std::vector<NodeId> Unseen;   ///< nodes whose seen word is not full.
-  std::vector<NodeId> Sources;  ///< sweep drivers' batch source staging.
+  std::vector<NodeId> Sources;  ///< a sweep's group source staging.
   /// True when the last engine run completed, which leaves Frontier and
   /// Next all-zero (every dead word is zeroed on commit and the final
   /// level has no live ones) -- the next same-size run then skips two
@@ -106,7 +100,7 @@ struct MsBfsScratch {
 /// are what the `distance.*` metrics and bench JSON expose to explain
 /// where the sweep's work goes: words per direction, levels, switches.
 struct MsBfsCounters {
-  uint64_t Batches = 0;           ///< engine invocations folded in.
+  uint64_t Batches = 0;           ///< 64-source batch equivalents run.
   uint64_t PushLevels = 0;        ///< levels run top-down.
   uint64_t PullLevels = 0;        ///< levels run bottom-up.
   uint64_t PushWords = 0;         ///< words touched by push passes.
@@ -150,13 +144,6 @@ inline void resetLaneWords(std::vector<uint64_t> &Buf, size_t Size,
   Buf.assign(Size, 0);
 }
 
-/// Throws std::invalid_argument unless \p Sources fits one 64-lane batch,
-/// every source is a node of \p G, and \p GT has G's node and edge counts
-/// (the transpose the pull pass reads). msBfsCore runs it before
-/// traversing; msBfsFusedImpl's library callers only assert the same.
-void checkMsBfsInputs(const Csr &G, const Csr &GT,
-                      std::span<const NodeId> Sources);
-
 /// Direction heuristic. Unlike single-source BFS (where one found parent
 /// ends a bottom-up row), a pull row only early-exits once *every* lane
 /// the node still lacks has been gathered, so pulling pays off late: when
@@ -177,23 +164,27 @@ constexpr uint64_t MsBfsDenseFraction = 16;
 /// on each one. Pure hint: no effect on results.
 constexpr size_t MsBfsPrefetchAhead = 8;
 
-/// The direction-optimizing engine, generalized over the number of
-/// 64-bit lane words each node carries. W = 1 is the public 64-lane
-/// engine; the all-pairs sweep instantiates W = MsBfsFusedWords so one
-/// task advances 512 sources and every random bitmap access works on a
-/// full cache line instead of one word of it (batch fusion, the key
+/// The direction-optimizing engine over MsBfsFusedWords lane words per
+/// node: one run advances up to MsBfsGroupLanes sources, and every random
+/// bitmap access works on a full cache line (batch fusion, the key
 /// memory-efficiency trick from the MS-BFS literature). \p Visit fires as
 /// Visit(Node, WordIdx, NewMask, Level) once per (node, word) with newly
-/// arrived lanes; lane WordIdx * 64 + bit is Sources[same index].
-template <unsigned W, bool WithCounters, typename OnVisit>
+/// arrived lanes; lane WordIdx * 64 + bit is Sources[same index]. Level 0
+/// covers the sources themselves (a duplicated source's lanes arrive
+/// together). A sink with a `level(Level, NewVisits)` member gets one
+/// call per level with arrivals instead. \p Counters is read only when
+/// \p WithCounters. Inputs are the caller's invariants (asserted): at
+/// most MsBfsGroupLanes sources, each a node of \p G, and \p GT =
+/// G.transpose().
+template <bool WithCounters, typename OnVisit>
 void msBfsFusedImpl(const Csr &G, const Csr &GT,
                     std::span<const NodeId> Sources, OnVisit &&Visit,
                     MsBfsCounters *Counters, MsBfsScratch &S) {
-  static_assert(W >= 1 && W <= 16, "at most two cache lines per node");
+  constexpr unsigned W = MsBfsFusedWords;
   const NodeId N = G.numNodes();
   assert(GT.numNodes() == N && GT.numEdges() == G.numEdges() &&
          "transpose must match the forward graph");
-  assert(Sources.size() <= size_t(W) * 64 && "too many lanes for W words");
+  assert(Sources.size() <= MsBfsGroupLanes && "too many lanes for one group");
   if (Sources.empty() || N == 0)
     return;
   // Per-word full masks; a short tail group leaves trailing words zero,
@@ -221,9 +212,9 @@ void msBfsFusedImpl(const Csr &G, const Csr &GT,
   }
   // Statistics sinks only need the number of lanes arriving per level,
   // not which ones: when the sink exposes level(Level, NewVisits), the
-  // commit loops accumulate branchless popcounts (one vector op per node
-  // at W = 8) and fire the sink once per level instead of once per
-  // nonzero (node, word). Pure sum regrouping -- results are identical.
+  // commit loops accumulate branchless popcounts (one vector op per node)
+  // and fire the sink once per level instead of once per nonzero
+  // (node, word). Pure sum regrouping -- results are identical.
   constexpr bool PerLevel =
       requires { Visit.level(uint32_t(0), uint64_t(0)); };
   uint64_t LevelPop = 0;
@@ -469,60 +460,6 @@ void msBfsFusedImpl(const Csr &G, const Csr &GT,
 
 } // namespace detail
 
-/// Bit-parallel BFS from \p Sources (at most MsBfsLanes) over \p G, with
-/// \p GT = G.transpose() feeding the pull pass (see file comment). Lane i
-/// is the BFS from Sources[i]. \p Visit is invoked as
-/// Visit(Node, LaneMask, Level) exactly once for every node some lane
-/// reaches, per level at which new lanes reach it: LaneMask holds exactly
-/// the lanes whose BFS first reaches Node at distance Level. Level 0 calls
-/// cover the sources themselves (duplicated sources share one call with
-/// both lanes set). Levels ascend; the order within a level is
-/// deterministic but unspecified. \p Counters, when non-null, accumulates
-/// word-touch telemetry (the counted run executes the same traversal;
-/// counting is compiled out otherwise). Bitmaps come from \p Scratch (the
-/// calling thread's shared scratch when null). Throws
-/// std::invalid_argument on more than 64 sources, a source that is not a
-/// node of \p G, or a \p GT whose node or edge count differs from G's.
-template <typename OnVisit>
-void msBfsCore(const Csr &G, const Csr &GT, std::span<const NodeId> Sources,
-               OnVisit &&Visit, MsBfsCounters *Counters = nullptr,
-               MsBfsScratch *Scratch = nullptr) {
-  detail::checkMsBfsInputs(G, GT, Sources);
-  MsBfsScratch &S = Scratch ? *Scratch : threadScratch<MsBfsScratch>();
-  // Adapt the single-word impl sink (word index is always 0 at W = 1) to
-  // the public 64-lane signature.
-  auto Sink = [&Visit](NodeId Node, unsigned, uint64_t Mask, uint32_t Level) {
-    Visit(Node, Mask, Level);
-  };
-  if (Counters)
-    detail::msBfsFusedImpl<1, true>(G, GT, Sources, Sink, Counters, S);
-  else
-    detail::msBfsFusedImpl<1, false>(G, GT, Sources, Sink, nullptr, S);
-}
-
-/// Per-source results of one bit-parallel batch, indexed like \p Sources.
-/// Field semantics match BfsResult (eccentricity = largest finite
-/// distance, reached count includes the source, distance sum over finite
-/// distances) so scalar and bit-parallel results are directly comparable.
-struct MsBfsBatch {
-  std::vector<uint32_t> Eccentricity;
-  std::vector<uint64_t> NumReached;
-  std::vector<uint64_t> DistanceSum;
-};
-
-/// Runs one msBfsCore batch and accumulates the per-source statistics;
-/// equal to one bfs() per source (tests/MsBfsTest.cpp). \p GT must be
-/// G.transpose(). Throws std::invalid_argument like msBfsCore.
-MsBfsBatch msBfs(const Csr &G, const Csr &GT, std::span<const NodeId> Sources);
-
-/// Full distance vectors per source (UnreachableDistance where a lane
-/// never arrives). Row i is the distance vector of Sources[i]; byte-equal
-/// to bfs(G, Sources[i]).Distance. Mainly for differential tests and
-/// dilation-style consumers that need the whole matrix slice. \p GT must
-/// be G.transpose(). Throws std::invalid_argument like msBfsCore.
-std::vector<std::vector<uint32_t>>
-msBfsDistances(const Csr &G, const Csr &GT, std::span<const NodeId> Sources);
-
 /// Sentinel byte for "no path" in compact one-byte distance rows.
 constexpr uint8_t MsBfsUnreachableByte = 0xFF;
 
@@ -547,10 +484,10 @@ struct MsSweepOptions {
   MetricsRegistry *Metrics = nullptr;
 };
 
-/// All-pairs distance statistics over \p G: sources fused 512 per task
-/// (MsBfsFusedWords lane words), tasks spread over the global ThreadPool
-/// (SCG_THREADS=1 forces serial), results byte-identical at every thread
-/// count and to scalarAllPairsStats. This is the engine behind
+/// All-pairs distance statistics over \p G: sources fused MsBfsGroupLanes
+/// per task, tasks spread over the global ThreadPool (SCG_THREADS=1
+/// forces serial), results byte-identical at every thread count and to
+/// one bfs() per source. This is the engine behind
 /// allPairsStats(const Graph &); call it directly when a Csr is already at
 /// hand (e.g. ExplicitScg::toCsr()). The sweep builds the transpose once
 /// (O(V + E), noise next to the sweep).

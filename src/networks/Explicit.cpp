@@ -6,12 +6,15 @@
 #include "support/ThreadPool.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace scg;
 
 ExplicitScg::ExplicitScg(SuperCayleyGraph Network) : Net(std::move(Network)) {
   unsigned K = Net.numSymbols();
-  assert(K <= 10 && "explicit enumeration is limited to k <= 10 (k! nodes)");
+  if (K > 10)
+    throw std::invalid_argument(
+        "explicit enumeration is limited to k <= 10 (k! nodes)");
   uint64_t N = factorial(K);
   Count = static_cast<NodeId>(N);
   unsigned Degree = Net.degree();

@@ -34,7 +34,7 @@ namespace scg {
 class ExplicitScg {
 public:
   /// Materializes \p Network (stored by value, so temporaries are fine);
-  /// asserts k <= 10 (k! nodes are enumerated).
+  /// throws std::invalid_argument when k > 10 (k! nodes are enumerated).
   explicit ExplicitScg(SuperCayleyGraph Network);
 
   const SuperCayleyGraph &network() const { return Net; }

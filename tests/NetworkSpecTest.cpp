@@ -34,7 +34,7 @@ TEST(NetworkSpec, RejectsMalformed) {
   for (const char *Bad :
        {"", "MS", "MS(", "MS)", "MS()", "MS(4)", "star(4,3)", "star(x)",
         "frob(3,2)", "MS(4,3) ", "MS(1,3)", "star(1)", "MS(4,0)",
-        "T-tree(5)"})
+        "T-tree(5)", "star(256)", "MS(200,2)"})
     EXPECT_FALSE(parseNetworkSpec(Bad)) << Bad;
 }
 

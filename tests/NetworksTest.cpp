@@ -7,12 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace scg;
 
 TEST(ExplicitScg, RankZeroIsIdentity) {
   ExplicitScg Net(SuperCayleyGraph::star(4));
   EXPECT_TRUE(Net.label(0).isIdentity());
   EXPECT_EQ(Net.rankOf(Permutation::identity(4)), 0u);
+}
+
+TEST(ExplicitScg, RejectsMoreThanTenSymbols) {
+  // Checked before anything is enumerated: 11! nodes are never built.
+  EXPECT_THROW(ExplicitScg(SuperCayleyGraph::star(11)), std::invalid_argument);
+  EXPECT_THROW(
+      ExplicitScg(SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 5)),
+      std::invalid_argument);
 }
 
 TEST(ExplicitScg, NeighborsMatchDescriptor) {

@@ -1,7 +1,7 @@
 //===- tests/SimulatorAllocationTest.cpp - Simulator memory footprint ----===//
 //
 // Pins the simulator's heap footprint with a byte-counting operator new
-// (the interposer pattern of tests/MsBfsHybridTest.cpp). The per-link
+// (the interposer pattern of tests/MsBfsTest.cpp). The per-link
 // queues are flat arrays sized in run(), so constructing a simulator
 // allocates almost nothing per link, and a run allocates a few words per
 // link and per packet -- never a container per queue.

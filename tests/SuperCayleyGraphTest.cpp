@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace scg;
 
 TEST(SuperCayleyGraph, StarDegreeAndSize) {
@@ -129,4 +131,62 @@ TEST(SuperCayleyGraph, KindNames) {
             "complete-RIS");
   EXPECT_EQ(networkKindName(NetworkKind::RotationRotator), "RR");
   EXPECT_EQ(networkKindName(NetworkKind::InsertionSelection), "IS");
+}
+
+TEST(SuperCayleyGraph, CreateRejectsFewerThanTwoBoxes) {
+  EXPECT_THROW(SuperCayleyGraph::create(NetworkKind::MacroStar, 1, 5),
+               std::invalid_argument);
+  EXPECT_THROW(SuperCayleyGraph::create(NetworkKind::RotationIS, 0, 3),
+               std::invalid_argument);
+  EXPECT_EQ(SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 1).numSymbols(),
+            3u);
+}
+
+TEST(SuperCayleyGraph, CreateRejectsEmptyBoxes) {
+  EXPECT_THROW(SuperCayleyGraph::create(NetworkKind::MacroStar, 3, 0),
+               std::invalid_argument);
+}
+
+TEST(SuperCayleyGraph, CreateRejectsSingleLevelKinds) {
+  for (NetworkKind Kind :
+       {NetworkKind::Star, NetworkKind::BubbleSort, NetworkKind::Transposition,
+        NetworkKind::TranspositionTree, NetworkKind::Rotator,
+        NetworkKind::InsertionSelection})
+    EXPECT_THROW(SuperCayleyGraph::create(Kind, 2, 2), std::invalid_argument)
+        << networkKindName(Kind);
+}
+
+TEST(SuperCayleyGraph, StarRejectsFewerThanTwoSymbols) {
+  EXPECT_THROW(SuperCayleyGraph::star(1), std::invalid_argument);
+  EXPECT_THROW(SuperCayleyGraph::star(0), std::invalid_argument);
+  EXPECT_EQ(SuperCayleyGraph::star(2).degree(), 1u);
+}
+
+TEST(SuperCayleyGraph, BubbleSortRejectsFewerThanTwoSymbols) {
+  EXPECT_THROW(SuperCayleyGraph::bubbleSort(1), std::invalid_argument);
+}
+
+TEST(SuperCayleyGraph, TranspositionNetworkRejectsFewerThanTwoSymbols) {
+  EXPECT_THROW(SuperCayleyGraph::transpositionNetwork(1),
+               std::invalid_argument);
+}
+
+TEST(SuperCayleyGraph, RotatorRejectsFewerThanTwoSymbols) {
+  EXPECT_THROW(SuperCayleyGraph::rotator(1), std::invalid_argument);
+}
+
+TEST(SuperCayleyGraph, InsertionSelectionRejectsFewerThanTwoSymbols) {
+  EXPECT_THROW(SuperCayleyGraph::insertionSelection(1), std::invalid_argument);
+}
+
+TEST(SuperCayleyGraph, FactoriesRejectMoreSymbolsThanALabelHolds) {
+  // Labels store one symbol per byte: k = 255 is the largest network.
+  EXPECT_EQ(SuperCayleyGraph::star(255).degree(), 254u);
+  EXPECT_THROW(SuperCayleyGraph::star(256), std::invalid_argument);
+  EXPECT_THROW(SuperCayleyGraph::rotator(300), std::invalid_argument);
+  EXPECT_THROW(SuperCayleyGraph::create(NetworkKind::MacroStar, 200, 2),
+               std::invalid_argument);
+  // l * n overflows 32 bits; the check must not wrap around.
+  EXPECT_THROW(SuperCayleyGraph::create(NetworkKind::MacroStar, 65536, 65536),
+               std::invalid_argument);
 }

@@ -10,7 +10,6 @@
 
 #include "support/ThreadPool.h"
 
-#include "support/BatchRunner.h"
 #include "support/Format.h"
 
 #include <gtest/gtest.h>
@@ -232,17 +231,24 @@ TEST(ThreadPool, ScgThreadsEnvControlsGlobalPool) {
   }
 }
 
-TEST(BatchRunner, ResultsComeBackInSubmissionOrder) {
+TEST(ThreadPool, OneJobPerChunkResultsComeBackInSubmissionOrder) {
+  // The coarse-job pattern (bench inventory rows): one job per chunk, each
+  // writing its own slot, read back in submission order whatever order
+  // the workers ran them in.
   ThreadPool Pool(4);
-  BatchRunner<uint64_t> Batch(Pool);
-  for (uint64_t I = 0; I != 100; ++I)
-    Batch.add([I] { return I * I; });
-  EXPECT_EQ(Batch.size(), 100u);
-  std::vector<uint64_t> Results = Batch.run();
-  ASSERT_EQ(Results.size(), 100u);
+  std::vector<uint64_t> Results(100);
+  Pool.parallelFor(
+      0, Results.size(), [&](uint64_t I) { Results[I] = I * I; },
+      /*ChunkSize=*/1);
   for (uint64_t I = 0; I != 100; ++I)
     EXPECT_EQ(Results[I], I * I);
-  EXPECT_EQ(Batch.size(), 0u); // queue cleared; reusable.
-  Batch.add([] { return uint64_t(7); });
-  EXPECT_EQ(Batch.run().at(0), 7u);
+  // A throwing job propagates its exception out of the region.
+  EXPECT_THROW(Pool.parallelFor(
+                   0, Results.size(),
+                   [&](uint64_t I) {
+                     if (I == 63)
+                       throw std::runtime_error("job 63");
+                   },
+                   /*ChunkSize=*/1),
+               std::runtime_error);
 }

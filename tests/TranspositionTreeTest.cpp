@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace scg;
 
 namespace {
@@ -93,4 +95,30 @@ TEST(TranspositionTree, NameAndSymmetry) {
 TEST(TranspositionTree, ConnectedAtSevenSymbols) {
   SuperCayleyGraph Net = SuperCayleyGraph::transpositionTree(7, broomTree(7));
   EXPECT_TRUE(isConnectedFromZero(ExplicitScg(Net).toGraph()));
+}
+
+TEST(TranspositionTree, RejectsWrongEdgeCount) {
+  EXPECT_THROW(SuperCayleyGraph::transpositionTree(5, {{1, 2}, {2, 3}}),
+               std::invalid_argument);
+  EXPECT_THROW(SuperCayleyGraph::transpositionTree(
+                   4, {{1, 2}, {2, 3}, {3, 4}, {1, 4}}),
+               std::invalid_argument);
+  EXPECT_THROW(SuperCayleyGraph::transpositionTree(1, {}),
+               std::invalid_argument);
+}
+
+TEST(TranspositionTree, RejectsEdgeOutOfRange) {
+  EXPECT_THROW(SuperCayleyGraph::transpositionTree(4, {{1, 2}, {2, 3}, {3, 5}}),
+               std::invalid_argument);
+  EXPECT_THROW(SuperCayleyGraph::transpositionTree(4, {{0, 2}, {2, 3}, {3, 4}}),
+               std::invalid_argument);
+  EXPECT_THROW(SuperCayleyGraph::transpositionTree(4, {{1, 2}, {2, 2}, {3, 4}}),
+               std::invalid_argument);
+}
+
+TEST(TranspositionTree, RejectsCycle) {
+  // Three edges on four vertices, but 1-2-3 closes a cycle and 4 is left
+  // out.
+  EXPECT_THROW(SuperCayleyGraph::transpositionTree(4, {{1, 2}, {2, 3}, {3, 1}}),
+               std::invalid_argument);
 }
