@@ -13,9 +13,5 @@ RouteArena scg::liftedRoutes(const SuperCayleyGraph &Host,
   if (!supportsStarEmulation(Host))
     throw std::invalid_argument(Host.name() +
                                 " has no star emulation to lift routes by");
-  // The drivers dedupe by relative label themselves, so a cache could only
-  // add shard-lock traffic.
-  QueryEngineOptions Opts;
-  Opts.CacheCapacity = 0;
-  return QueryEngine(Host, Opts).routeBatchRelative(Rels);
+  return QueryEngine(Host).routeBatchRelative(Rels);
 }

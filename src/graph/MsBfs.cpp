@@ -8,38 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
-#include <stdexcept>
 
 using namespace scg;
-
-std::vector<uint8_t> scg::msBfsDistanceRow(const Csr &G, NodeId Source) {
-  const NodeId N = G.numNodes();
-  if (Source >= N)
-    throw std::invalid_argument("distance row: source is not a node");
-  std::vector<uint8_t> Row(N, MsBfsUnreachableByte);
-  // One source needs no lanes: a flat FIFO (every node enters once) with
-  // the byte row itself as the visited mark.
-  std::vector<NodeId> Queue(N);
-  const NodeId *Adj = G.adjacencyData();
-  const uint64_t *Off = G.offsetsData();
-  Row[Source] = 0;
-  Queue[0] = Source;
-  for (size_t Head = 0, Tail = 1; Head != Tail; ++Head) {
-    NodeId V = Queue[Head];
-    const unsigned Next = Row[V] + 1u;
-    for (uint64_t E = Off[V], End = Off[V + 1]; E != End; ++E) {
-      NodeId To = Adj[E];
-      if (Row[To] == MsBfsUnreachableByte) {
-        if (Next == MsBfsUnreachableByte)
-          throw std::length_error(
-              "distance row: a distance does not fit a byte");
-        Row[To] = uint8_t(Next);
-        Queue[Tail++] = To;
-      }
-    }
-  }
-  return Row;
-}
 
 namespace {
 

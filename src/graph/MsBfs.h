@@ -460,21 +460,6 @@ void msBfsFusedImpl(const Csr &G, const Csr &GT,
 
 } // namespace detail
 
-/// Sentinel byte for "no path" in compact one-byte distance rows.
-constexpr uint8_t MsBfsUnreachableByte = 0xFF;
-
-/// Compact single-source distance row: entry v is d(\p Source, v) as one
-/// byte, MsBfsUnreachableByte where no path exists; byte-equal to
-/// bfs(G, Source).Distance wherever that is finite. One source needs no
-/// bit lanes, so this is a plain flat-queue BFS with the row as its
-/// visited mark. Throws std::invalid_argument when \p Source is not a
-/// node of \p G, and std::length_error when a finite distance reaches the
-/// sentinel (SCG diameters at enumerable k are two digits). This is the
-/// export the query layer's TableStore serializes -- one byte per node
-/// keeps a k = 10 table at 3.6 MB, and a row is all a vertex-transitive
-/// network needs for exact all-pairs service (d(U, V) = d(id, U^-1 o V)).
-std::vector<uint8_t> msBfsDistanceRow(const Csr &G, NodeId Source);
-
 /// Sweep configuration for msAllPairsStats.
 struct MsSweepOptions {
   /// When non-null, the sweep publishes `distance.*` counters here: words

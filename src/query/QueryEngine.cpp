@@ -11,6 +11,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -34,6 +35,12 @@ unsigned inversionCount(const Permutation &P) {
   return Inv;
 }
 
+[[noreturn]] void needTable(const SuperCayleyGraph &Net) {
+  throw std::invalid_argument(
+      Net.name() + " has no table-free router and no attached table "
+                   "answers this query; attachTable() first");
+}
+
 } // namespace
 
 bool QueryEngine::supportsTableFree(const SuperCayleyGraph &Net) {
@@ -49,8 +56,10 @@ bool QueryEngine::supportsTableFree(const SuperCayleyGraph &Net) {
 QueryEngine::QueryEngine(SuperCayleyGraph Network, QueryEngineOptions Opts)
     : Net(std::move(Network)), Cache(Opts.CacheCapacity, Opts.CacheShards) {
   unsigned K = Net.numSymbols();
-  assert(K <= Permutation::InlineCapacity &&
-         "the query engine serves the inline-label regime (k <= 16)");
+  if (K > Permutation::InlineCapacity)
+    throw std::invalid_argument(
+        "the query engine serves the inline-label regime (k <= 16), not " +
+        Net.name());
   InvGens.reserve(Net.generators().size());
   for (const Generator &G : Net.generators())
     InvGens.push_back(G.Sigma.inverse());
@@ -90,8 +99,8 @@ QueryEngine::QueryEngine(SuperCayleyGraph Network, QueryEngineOptions Opts)
 }
 
 void QueryEngine::attachTable(std::shared_ptr<const TableStore> NewTable) {
-  assert(NewTable && NewTable->covers(Net) &&
-         "table does not describe this network");
+  if (!NewTable || !NewTable->covers(Net))
+    throw std::invalid_argument("the table does not describe " + Net.name());
   Table = std::move(NewTable);
   // Cached routes were computed under the previous configuration; drop them
   // so every key's (Hops, Exact, FromTable) stays a pure function of the
@@ -103,122 +112,143 @@ void QueryEngine::attachTable(std::shared_ptr<const TableStore> NewTable) {
 // Serving: everything funnels through the relative label Rel = Src^-1 o Dst.
 //===----------------------------------------------------------------------===//
 
+void QueryEngine::checkLabel(const Permutation &P) const {
+  if (P.size() != Net.numSymbols())
+    throw std::invalid_argument("query label " + P.str() + " is not on the " +
+                                std::to_string(Net.numSymbols()) +
+                                " symbols of " + Net.name());
+}
+
+Permutation QueryEngine::relative(const Permutation &Src,
+                                  const Permutation &Dst) const {
+  checkLabel(Src);
+  checkLabel(Dst);
+  return Src.inverse().compose(Dst);
+}
+
+void QueryEngine::flush(const Tally &T) const {
+  // Zero fields are skipped: a scalar call touches two counters, as before.
+  auto Add = [](std::atomic<uint64_t> &C, uint64_t N) {
+    if (N)
+      C.fetch_add(N, std::memory_order_relaxed);
+  };
+  Add(DistanceQueries, T.Distance);
+  Add(RouteQueries, T.Route);
+  Add(TableAnswers, T.Table);
+  Add(TableFreeAnswers, T.TableFree);
+}
+
 DistanceReply QueryEngine::distance(const Permutation &Src,
                                     const Permutation &Dst) const {
-  assert(Src.size() == Net.numSymbols() && Dst.size() == Net.numSymbols() &&
-         "query labels must be on the engine's k symbols");
-  DistanceQueries.fetch_add(1, std::memory_order_relaxed);
-  return distanceRel(Src.inverse().compose(Dst));
+  Tally T{.Distance = 1};
+  DistanceReply Reply = distanceRel(relative(Src, Dst), T);
+  flush(T);
+  return Reply;
 }
 
 RouteReply QueryEngine::route(const Permutation &Src,
                               const Permutation &Dst) const {
-  assert(Src.size() == Net.numSymbols() && Dst.size() == Net.numSymbols() &&
-         "query labels must be on the engine's k symbols");
-  RouteQueries.fetch_add(1, std::memory_order_relaxed);
-  return routeRel(Src.inverse().compose(Dst));
+  Tally T{.Route = 1};
+  RouteReply Reply = routeRel(relative(Src, Dst), T);
+  flush(T);
+  return Reply;
 }
 
-DistanceReply QueryEngine::distanceRel(const Permutation &Rel) const {
+DistanceReply QueryEngine::distanceRel(const Permutation &Rel,
+                                       Tally &T) const {
   if (Rel.isIdentity()) {
-    TableFreeAnswers.fetch_add(1, std::memory_order_relaxed);
+    ++T.TableFree;
     return {0, /*Exact=*/true, /*FromTable=*/false};
   }
   if (Table) {
-    TableAnswers.fetch_add(1, std::memory_order_relaxed);
+    ++T.Table;
     uint8_t B = Table->distanceByRank(rankPermutation(Rel));
     uint32_t D = B == TableUnreachable ? UnreachableDistance : uint32_t(B);
     return {D, /*Exact=*/true, /*FromTable=*/true};
   }
   switch (Router) {
   case FreeRouter::StarGreedy:
-    TableFreeAnswers.fetch_add(1, std::memory_order_relaxed);
+    ++T.TableFree;
     return {starDistance(Rel), /*Exact=*/true, /*FromTable=*/false};
   case FreeRouter::BubbleSort:
-    TableFreeAnswers.fetch_add(1, std::memory_order_relaxed);
+    ++T.TableFree;
     return {inversionCount(Rel), /*Exact=*/true, /*FromTable=*/false};
   case FreeRouter::Rotator:
   case FreeRouter::Lifted: {
     // No closed-form distance: the route length is a certified upper bound.
-    RouteReply R = routeRel(Rel);
+    RouteReply R = routeRel(Rel, T);
     return {R.length(), /*Exact=*/false, /*FromTable=*/false};
   }
   case FreeRouter::None:
     break;
   }
-  assert(false && "family needs a table; attachTable() first");
-  return {UnreachableDistance, false, false};
+  needTable(Net);
 }
 
-RouteReply QueryEngine::routeRel(const Permutation &Rel) const {
+RouteReply QueryEngine::routeRel(const Permutation &Rel, Tally &T) const {
   RouteReply Reply;
   if (Rel.isIdentity()) {
-    TableFreeAnswers.fetch_add(1, std::memory_order_relaxed);
+    ++T.TableFree;
     Reply.Exact = true;
     return Reply;
   }
+  // One rank of Rel serves the chase's first byte and the FromTable flag.
+  const uint64_t Rank = Table ? rankPermutation(Rel) : 0;
   if (!Cache.lookup(Rel, Reply.Hops)) {
-    Reply.Hops = computeRouteRel(Rel);
+    Reply.Hops = computeRouteRel(Rel, Rank);
     Cache.insert(Rel, Reply.Hops);
   }
   // Flags are recomputed (never cached): each is a pure function of the key
   // and the engine configuration, so hit and miss replies stay identical.
   Reply.FromTable =
-      Table && Reply.Hops.size() ==
-                   size_t(Table->distanceByRank(rankPermutation(Rel)));
+      Table && Reply.Hops.size() == size_t(Table->distanceByRank(Rank));
   Reply.Exact = Reply.FromTable || Router == FreeRouter::StarGreedy ||
                 Router == FreeRouter::BubbleSort;
-  (Reply.FromTable ? TableAnswers : TableFreeAnswers)
-      .fetch_add(1, std::memory_order_relaxed);
+  ++(Reply.FromTable ? T.Table : T.TableFree);
   return Reply;
 }
 
-std::vector<GenIndex>
-QueryEngine::computeRouteRel(const Permutation &Rel) const {
+std::vector<GenIndex> QueryEngine::computeRouteRel(const Permutation &Rel,
+                                                   uint64_t Rank) const {
   if (Table) {
-    std::vector<GenIndex> Hops = tableRouteRel(Rel);
+    std::vector<GenIndex> Hops = tableRouteRel(Rel, Rank);
     if (!Hops.empty())
       return Hops;
-    // Descent failed (a faulted-graph table can leave the target
-    // unreachable or strand the greedy walk): serve a closed-form route
-    // over the unfaulted network when the family has one.
+    // The chase failed (a faulted-graph table can leave the target
+    // unreachable or strand the walk): serve a closed-form route over the
+    // unfaulted network when the family has one.
   }
-  assert(Router != FreeRouter::None &&
-         "family needs a usable table; attachTable() first");
   return freeRouteRel(Rel);
 }
 
-/// Exact shortest route by greedy descent on the table: from remaining
-/// relative R at distance D, the first generator g with
-/// d(id, g^-1 o R) == D - 1 extends a shortest path (one exists by the BFS
-/// property; "first" makes the choice deterministic).
-std::vector<GenIndex>
-QueryEngine::tableRouteRel(const Permutation &Rel) const {
+/// Exact shortest route by chasing the table's first-hop row: at remaining
+/// relative R (rank \p Rank) at distance D the row names the lowest
+/// generator g with d(id, g^-1 o R) == D - 1 -- the one greedy distance
+/// descent picks -- so D hops reach the identity, at one rank per hop.
+/// Empty when the row strands the chase.
+std::vector<GenIndex> QueryEngine::tableRouteRel(const Permutation &Rel,
+                                                 uint64_t Rank) const {
   std::vector<GenIndex> Hops;
-  uint8_t D = Table->distanceByRank(rankPermutation(Rel));
-  if (D == TableUnreachable)
+  const uint8_t D = Table->distanceByRank(Rank);
+  if (D == TableUnreachable || D == 0) // 0: a hand-edited row; Rel != id.
     return Hops;
   Hops.reserve(D);
   Permutation R = Rel, Next;
-  while (!R.isIdentity()) {
-    bool Stepped = false;
-    for (GenIndex G = 0; G != InvGens.size(); ++G) {
-      InvGens[G].composeInto(R, Next); // R after hopping along G.
-      if (Table->distanceByRank(rankPermutation(Next)) == uint8_t(D - 1)) {
-        Hops.push_back(G);
-        R = Next;
-        --D;
-        Stepped = true;
-        break;
-      }
-    }
-    if (!Stepped) {
-      // Inconsistent with Net (e.g. a faulted-graph row): report failure
-      // and let the caller fall back.
-      Hops.clear();
-      return Hops;
-    }
+  for (;;) {
+    const uint8_t G = Table->firstHopByRank(Rank);
+    if (G == TableNoHop)
+      return {};
+    Hops.push_back(G);
+    InvGens[G].composeInto(R, Next); // R after hopping along G.
+    std::swap(R, Next);
+    if (Hops.size() == D)
+      break;
+    Rank = rankPermutation(R);
   }
+  // Only a row inconsistent with Net (hand-edited, not a BFS row) ends D
+  // hops away from the identity.
+  if (!R.isIdentity())
+    Hops.clear();
   return Hops;
 }
 
@@ -267,8 +297,7 @@ QueryEngine::freeRouteRel(const Permutation &Rel) const {
   case FreeRouter::None:
     break;
   }
-  assert(false && "no table-free router for this family");
-  return Hops;
+  needTable(Net);
 }
 
 //===----------------------------------------------------------------------===//
@@ -278,25 +307,36 @@ QueryEngine::freeRouteRel(const Permutation &Rel) const {
 std::vector<DistanceReply>
 QueryEngine::distanceBatch(std::span<const PairQuery> Queries) const {
   std::vector<DistanceReply> Replies(Queries.size());
-  ThreadPool::global().parallelFor(0, Queries.size(), [&](uint64_t I) {
-    Replies[I] = distance(Queries[I].Src, Queries[I].Dst);
-  });
+  ThreadPool::global().parallelForChunks(
+      0, Queries.size(), /*ChunkSize=*/0, [&](uint64_t B, uint64_t E) {
+        Tally T{.Distance = E - B};
+        for (uint64_t I = B; I != E; ++I) {
+          const PairQuery &Q = Queries[I];
+          Replies[I] = distanceRel(relative(Q.Src, Q.Dst), T);
+        }
+        flush(T);
+      });
   return Replies;
 }
 
 std::vector<RouteReply>
 QueryEngine::routeBatch(std::span<const PairQuery> Queries) const {
   std::vector<RouteReply> Replies(Queries.size());
-  ThreadPool::global().parallelFor(0, Queries.size(), [&](uint64_t I) {
-    Replies[I] = route(Queries[I].Src, Queries[I].Dst);
-  });
+  ThreadPool::global().parallelForChunks(
+      0, Queries.size(), /*ChunkSize=*/0, [&](uint64_t B, uint64_t E) {
+        Tally T{.Route = E - B};
+        for (uint64_t I = B; I != E; ++I) {
+          const PairQuery &Q = Queries[I];
+          Replies[I] = routeRel(relative(Q.Src, Q.Dst), T);
+        }
+        flush(T);
+      });
   return Replies;
 }
 
 RouteArena
 QueryEngine::routeBatchRelative(std::span<const Permutation> Rels) const {
   const uint64_t N = Rels.size();
-  RouteQueries.fetch_add(N, std::memory_order_relaxed);
   RouteArena Out;
   Out.Offsets.push_back(0);
   if (N == 0)
@@ -314,13 +354,14 @@ QueryEngine::routeBatchRelative(std::span<const Permutation> Rels) const {
         RouteArena &P = Parts[B / Chunk];
         P.Offsets.reserve(E - B + 1);
         P.Offsets.push_back(0);
+        Tally T{.Route = E - B};
         for (uint64_t I = B; I != E; ++I) {
-          assert(Rels[I].size() == Net.numSymbols() &&
-                 "relative label must be on the engine's k symbols");
-          RouteReply R = routeRel(Rels[I]);
+          checkLabel(Rels[I]);
+          RouteReply R = routeRel(Rels[I], T);
           P.Hops.insert(P.Hops.end(), R.Hops.begin(), R.Hops.end());
           P.Offsets.push_back(uint32_t(P.Hops.size()));
         }
+        flush(T);
       });
 
   size_t TotalHops = 0;

@@ -25,18 +25,25 @@
 ///    (MS/RS/complete-RS/IS/MIS/RIS/complete-RIS, TN).
 ///
 ///  * Table-backed (k <= 10): an attached TableStore -- the identity-row
-///    distance table, typically mmap-ed and shared between processes --
-///    serves exact distances as one rank + one byte load, and exact
-///    shortest routes by greedy distance descent, for every family
-///    including the ones with no closed-form router.
+///    distance and first-hop rows, typically mmap-ed and shared between
+///    processes -- serves exact distances as one rank + one byte load, and
+///    exact shortest routes by chasing the first-hop row (one rank + one
+///    byte load per hop), for every family including the ones with no
+///    closed-form router.
 ///
 /// Replies carry (Exact, FromTable) so callers can tell a certified
-/// shortest answer from a lifted upper bound. A sharded LRU SegmentCache
-/// memoizes hot relative labels; batch entry points spread chunks over
-/// the global ThreadPool with results in submission order, so batched
-/// parallel answers are byte-identical to serial ones (the cache can only
-/// change latency, never an answer). Telemetry flows through
-/// MetricsRegistry as `query.*` counters.
+/// shortest answer from a lifted upper bound. Serving is uncached by
+/// default: a route is a pure function of the relative label, and
+/// computing it costs less than a shared-cache probe. A sharded LRU
+/// SegmentCache can still be switched on (QueryEngineOptions) to memoize
+/// hot relative labels. Batch entry points spread chunks over the global
+/// ThreadPool with results in submission order, so batched parallel
+/// answers are byte-identical to serial ones (the cache can only change
+/// latency, never an answer). Telemetry flows through MetricsRegistry as
+/// `query.*` counters, tallied per chunk and added to the shared counters
+/// once per chunk. Inputs the engine cannot serve -- k > 16, a label of
+/// the wrong size, a table for another network, a table-only family with
+/// no usable table -- raise std::invalid_argument.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,7 +81,7 @@ struct DistanceReply {
 struct RouteReply {
   std::vector<GenIndex> Hops;
   bool Exact = false;     ///< certified shortest route.
-  bool FromTable = false; ///< derived by table distance descent.
+  bool FromTable = false; ///< chased along the table's first-hop row.
   bool operator==(const RouteReply &) const = default;
 
   unsigned length() const { return unsigned(Hops.size()); }
@@ -107,8 +114,8 @@ struct RouteArena {
 
 /// Engine construction knobs.
 struct QueryEngineOptions {
-  /// Total SegmentCache entries (0 disables caching).
-  size_t CacheCapacity = 1 << 15;
+  /// Total SegmentCache entries (0, the default, disables caching).
+  size_t CacheCapacity = 0;
   /// Cache shard count (rounded up to a power of two).
   unsigned CacheShards = 8;
 };
@@ -118,16 +125,17 @@ struct QueryEngineOptions {
 /// the state is immutable after construction / attachTable).
 class QueryEngine {
 public:
-  /// Builds a table-free engine for \p Net; requires k <= 16 (inline
-  /// labels) and a supported family (supportsTableFree) -- attachTable
-  /// lifts the family restriction.
+  /// Builds a table-free engine for \p Net; throws std::invalid_argument
+  /// when k > 16 (labels are inline). Serving needs a supported family
+  /// (supportsTableFree) -- attachTable lifts the family restriction.
   explicit QueryEngine(SuperCayleyGraph Net, QueryEngineOptions Opts = {});
 
   /// True when the engine can answer without a table: star, bubble-sort,
   /// rotator, and the SDC star-emulating classes.
   static bool supportsTableFree(const SuperCayleyGraph &Net);
 
-  /// Attaches an exact distance table; asserts Table->covers(network()).
+  /// Attaches an exact distance table; throws std::invalid_argument when
+  /// \p Table is null or does not cover network().
   /// Shared ownership so many engines (or processes via mmap) serve from
   /// one table. Not thread-safe against in-flight queries.
   void attachTable(std::shared_ptr<const TableStore> Table);
@@ -135,7 +143,10 @@ public:
   bool tableBacked() const { return Table != nullptr; }
   const SuperCayleyGraph &network() const { return Net; }
 
-  /// d(Src, Dst), Cayley-normalized to the relative label.
+  /// d(Src, Dst), Cayley-normalized to the relative label. This and every
+  /// other query entry point throw std::invalid_argument on a label not
+  /// on the engine's k symbols, and on a table-only family (no
+  /// table-free router) that has no table answering the query.
   DistanceReply distance(const Permutation &Src,
                          const Permutation &Dst) const;
 
@@ -176,12 +187,24 @@ private:
     Lifted,     ///< Theorem 1-3 star-route lifting (valid, not optimal).
   };
 
-  DistanceReply distanceRel(const Permutation &Rel) const;
-  RouteReply routeRel(const Permutation &Rel) const;
-  std::vector<GenIndex> computeRouteRel(const Permutation &Rel) const;
-  std::vector<GenIndex> tableRouteRel(const Permutation &Rel) const;
+  /// Queries answered by one batch chunk (or one scalar call), added to
+  /// the shared atomics once per chunk so threads do not contend on them
+  /// per query.
+  struct Tally {
+    uint64_t Distance = 0, Route = 0, Table = 0, TableFree = 0;
+  };
+  void flush(const Tally &T) const;
+  void checkLabel(const Permutation &P) const;
+  /// Src^-1 o Dst after checking both labels.
+  Permutation relative(const Permutation &Src, const Permutation &Dst) const;
+
+  DistanceReply distanceRel(const Permutation &Rel, Tally &T) const;
+  RouteReply routeRel(const Permutation &Rel, Tally &T) const;
+  std::vector<GenIndex> computeRouteRel(const Permutation &Rel,
+                                        uint64_t Rank) const;
+  std::vector<GenIndex> tableRouteRel(const Permutation &Rel,
+                                      uint64_t Rank) const;
   std::vector<GenIndex> freeRouteRel(const Permutation &Rel) const;
-  bool routeIsExact(const Permutation &Rel) const;
 
   SuperCayleyGraph Net;
   std::shared_ptr<const TableStore> Table;

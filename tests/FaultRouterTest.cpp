@@ -235,7 +235,8 @@ TEST(FaultRouter, RandomizedDeliveryMatchesSurvivorEnumeration) {
       }
     FaultRouteResult Result = Router.route(C, Faults);
     EXPECT_EQ(Result.Delivered, AnySurvivor);
-    if (Result.Delivered)
+    if (Result.Delivered) {
       EXPECT_GE(Result.HopsTraversed, Result.FaultFreeHops);
+    }
   }
 }

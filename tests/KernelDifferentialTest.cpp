@@ -137,9 +137,11 @@ TEST(KernelDifferential, BfsAgreesWithReferenceOnEveryFamily) {
       // Sanity on the result itself: Cayley graphs on S_k with a generating
       // set reach all k! nodes, and parents sit one level up.
       EXPECT_EQ(Ref.NumReached, Net.numNodes()) << Scg.name();
-      for (NodeId V = 0; V != Net.numNodes(); ++V)
-        if (V != Source)
+      for (NodeId V = 0; V != Net.numNodes(); ++V) {
+        if (V != Source) {
           EXPECT_EQ(Ref.Distance[Ref.Parent[V]] + 1, Ref.Distance[V]);
+        }
+      }
     }
   }
 }

@@ -15,10 +15,10 @@
 //    duplicated sources inside one word and across words. The same
 //    checks run again in one-word (64-lane) groups, where every node holds
 //    a single lane word.
-//  * msBfsDistanceRow (the TableStore row) == bfs() distances byte for
-//    byte on every family, 0xFF where unreachable, and a throw where a
-//    distance would collide with that sentinel or the source is not a
-//    node.
+//  * msBfsDistanceRow (tests/ReferenceMetrics.h, the oracle for the
+//    TableStore distance row) == bfs() distances byte for byte on every
+//    family, 0xFF where unreachable, and a throw where a distance would
+//    collide with that sentinel or the source is not a node.
 //  * allPairsStats / msAllPairsStats == scalarAllPairsStats everywhere,
 //    and byte-identical at SCG_THREADS 1/2/8 (the determinism contract,
 //    under the `parallel` ctest label).

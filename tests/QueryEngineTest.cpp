@@ -3,17 +3,20 @@
 // Pins the query subsystem against the ground-truth engines: table-free
 // rank-space serving must reproduce ExplicitScg BFS distances and
 // StarRouter/ScgRouter path lengths on every supported family, the
-// TableStore must round-trip through its binary format (including a
-// cross-process writer/reader split over mmap) and reject corrupt files,
-// and batched parallel serving must be byte-identical to serial.
+// TableStore's rows must match a scalar BFS row and the per-hop greedy
+// descent scan, the TableStore must round-trip through its binary format
+// (including a cross-process writer/reader split over mmap) and reject
+// corrupt files, batched parallel serving must be byte-identical to
+// serial, and inputs the engine cannot serve must throw.
 //
 //===----------------------------------------------------------------------===//
 
 #include "query/QueryEngine.h"
 
+#include "ReferenceMetrics.h"
+
 #include "emulation/ScgRouter.h"
 #include "emulation/SdcEmulation.h"
-#include "graph/MsBfs.h"
 #include "networks/Explicit.h"
 #include "perm/Lehmer.h"
 #include "routing/StarRouter.h"
@@ -24,6 +27,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include <sys/wait.h>
@@ -140,8 +144,9 @@ TEST_P(QueryEngineFamilyTest, TableFreeMatchesBfs) {
     expectValidRoute(Net, Id, Dst, Route.Hops);
     EXPECT_EQ(D.Distance, Route.length());
     EXPECT_GE(D.Distance, FromId.Distance[R]);
-    if (D.Exact)
+    if (D.Exact) {
       EXPECT_EQ(D.Distance, FromId.Distance[R]);
+    }
     EXPECT_EQ(D.Exact, Route.Exact);
   }
 }
@@ -164,8 +169,9 @@ TEST_P(QueryEngineFamilyTest, TableFreeArbitrarySources) {
     RouteReply Route = Engine.route(Src, Dst);
     expectValidRoute(Net, Src, Dst, Route.Hops);
     EXPECT_GE(D.Distance, FromSrc.Distance[R]);
-    if (D.Exact)
+    if (D.Exact) {
       EXPECT_EQ(D.Distance, FromSrc.Distance[R]);
+    }
   }
 }
 
@@ -219,12 +225,10 @@ TEST(QueryEngineTest, StarSevenMatchesStarRouter) {
 }
 
 TEST(QueryEngineTest, BatchedRoutesMatchScalarRouterOnEveryLabel) {
-  // The comm drivers take every route from a cache-less routeBatchRelative
+  // The comm drivers take every route from a routeBatchRelative batch
   // (comm/LiftedRoutes.h); the scalar star-emulation router is the oracle.
   // Every relative label of every star-emulating family with k <= 6 must
   // get the same route hop for hop.
-  QueryEngineOptions NoCache;
-  NoCache.CacheCapacity = 0;
   unsigned Families = 0;
   for (const QueryParams &P : FamilyParams) {
     SuperCayleyGraph Net = makeNetwork(P);
@@ -235,7 +239,7 @@ TEST(QueryEngineTest, BatchedRoutesMatchScalarRouterOnEveryLabel) {
     std::vector<Permutation> Rels;
     for (uint64_t R = 0; R != factorial(K); ++R)
       Rels.push_back(unrankPermutation(R, K));
-    RouteArena Arena = QueryEngine(Net, NoCache).routeBatchRelative(Rels);
+    RouteArena Arena = QueryEngine(Net).routeBatchRelative(Rels);
     ASSERT_EQ(Arena.size(), Rels.size()) << Net.name();
     Permutation Id = Permutation::identity(K);
     for (size_t I = 0; I != Rels.size(); ++I) {
@@ -272,6 +276,13 @@ TEST(QueryEngineTest, LiftedRouteWithinSlowdownBound) {
 
 namespace {
 
+/// Serving is uncached by default; tests of the cache opt in.
+QueryEngineOptions cached() {
+  QueryEngineOptions Opts;
+  Opts.CacheCapacity = 1 << 15;
+  return Opts;
+}
+
 std::vector<PairQuery> makeWorkload(const SuperCayleyGraph &Net,
                                     size_t Count) {
   std::vector<PairQuery> Queries;
@@ -302,7 +313,7 @@ TEST(QueryEngineParallelTest, BatchedAnswersAreThreadCountInvariant) {
 
     for (unsigned Threads : {2u, 4u, 8u}) {
       setGlobalThreadCount(Threads);
-      QueryEngine Par(Net);
+      QueryEngine Par(Net, cached());
       EXPECT_EQ(Par.distanceBatch(Queries), SerialDist) << Net.name();
       EXPECT_EQ(Par.routeBatch(Queries), SerialRoutes) << Net.name();
       // A warm cache must not change a single reply either.
@@ -324,9 +335,14 @@ TEST(QueryEngineParallelTest, TableBackedBatchThreadCountInvariant) {
   std::vector<RouteReply> Want = Serial.routeBatch(Queries);
 
   setGlobalThreadCount(4);
-  QueryEngine Par(Net);
+  QueryEngine Par(Net, cached());
   Par.attachTable(Table);
   EXPECT_EQ(Par.routeBatch(Queries), Want);
+  // Warm: cache hits recompute FromTable from the table and must not change
+  // a single reply either.
+  const uint64_t ColdHits = Par.cache().totals().Hits;
+  EXPECT_EQ(Par.routeBatch(Queries), Want);
+  EXPECT_GE(Par.cache().totals().Hits, ColdHits + Queries.size() / 2);
   setGlobalThreadCount(0);
 }
 
@@ -336,7 +352,7 @@ TEST(QueryEngineParallelTest, TableBackedBatchThreadCountInvariant) {
 
 TEST(QueryEngineTest, CacheHitsOnRepeatsAndNeverChangesAnswers) {
   SuperCayleyGraph Net = SuperCayleyGraph::star(6);
-  QueryEngine Engine(Net);
+  QueryEngine Engine(Net, cached());
   Permutation Id = Permutation::identity(6);
   Permutation Dst = unrankPermutation(123, 6);
 
@@ -384,7 +400,7 @@ TEST(QueryEngineTest, CacheEvictsAtCapacityAndDisabledCacheStillServes) {
 
 TEST(QueryEngineTest, PublishesQueryMetrics) {
   SuperCayleyGraph Net = SuperCayleyGraph::star(5);
-  QueryEngine Engine(Net);
+  QueryEngine Engine(Net, cached());
   Permutation Id = Permutation::identity(5);
   Permutation Dst = unrankPermutation(42, 5);
   Engine.distance(Id, Dst);
@@ -403,6 +419,32 @@ TEST(QueryEngineTest, PublishesQueryMetrics) {
   EXPECT_GT(M.find("query.answers.table_free")->value(), 0.0);
 }
 
+TEST(QueryEngineParallelTest, ChunkTalliesCountEveryQuery) {
+  // Counters are tallied per batch chunk and added once per chunk; every
+  // chunk must land, at any thread count.
+  SuperCayleyGraph Net = SuperCayleyGraph::star(6);
+  std::vector<PairQuery> Queries = makeWorkload(Net, 5000);
+  std::vector<Permutation> Rels;
+  for (const PairQuery &Q : Queries)
+    Rels.push_back(Q.Src.inverse().compose(Q.Dst));
+  for (unsigned Threads : {1u, 4u}) {
+    setGlobalThreadCount(Threads);
+    QueryEngine Engine(Net);
+    Engine.distanceBatch(Queries);
+    Engine.routeBatch(Queries);
+    Engine.routeBatchRelative(Rels);
+    Engine.route(Queries[0].Src, Queries[0].Dst);
+    MetricsRegistry M;
+    Engine.publishMetrics(M);
+    EXPECT_EQ(M.find("query.distance.count")->value(), 5000.0);
+    EXPECT_EQ(M.find("query.route.count")->value(), 10001.0);
+    EXPECT_EQ(M.find("query.answers.table")->value() +
+                  M.find("query.answers.table_free")->value(),
+              15001.0);
+  }
+  setGlobalThreadCount(0);
+}
+
 //===----------------------------------------------------------------------===//
 // TableStore: format round trip, mmap sharing, corruption rejection.
 //===----------------------------------------------------------------------===//
@@ -418,8 +460,11 @@ TEST(TableStoreTest, SaveLoadRoundTrip) {
   EXPECT_FALSE(Built.isMapped());
   EXPECT_TRUE(Loaded.covers(Net));
   EXPECT_EQ(Loaded.numNodes(), factorial(6));
-  for (uint64_t R = 0; R != Loaded.numNodes(); ++R)
+  EXPECT_EQ(Loaded.degree(), Net.degree());
+  for (uint64_t R = 0; R != Loaded.numNodes(); ++R) {
     EXPECT_EQ(Loaded.distanceByRank(R), Built.distanceByRank(R));
+    EXPECT_EQ(Loaded.firstHopByRank(R), Built.firstHopByRank(R));
+  }
   std::remove(Path.c_str());
 }
 
@@ -467,6 +512,17 @@ void writeAll(const std::string &Path, const std::vector<char> &Bytes,
   Out.write(Bytes.data(), std::streamsize(Count));
 }
 
+/// Rewrites the header's payload checksum (FNV-1a 64 over both rows) so a
+/// deliberately edited payload gets past the bit-rot check.
+void resealChecksum(std::vector<char> &Bytes) {
+  uint64_t H = 1469598103934665603ULL;
+  for (size_t I = 56; I != Bytes.size(); ++I) {
+    H ^= uint8_t(Bytes[I]);
+    H *= 1099511628211ULL;
+  }
+  std::memcpy(Bytes.data() + 40, &H, sizeof(H));
+}
+
 void expectLoadFails(const std::string &Path, const std::string &Needle) {
   try {
     TableStore T = TableStore::load(Path);
@@ -484,7 +540,7 @@ TEST(TableStoreTest, RejectsCorruptFiles) {
   std::string Good = tempPath("good.scgtbl");
   TableStore::build(Net).save(Good);
   std::vector<char> Bytes = readAll(Good);
-  ASSERT_EQ(Bytes.size(), 56u + factorial(5));
+  ASSERT_EQ(Bytes.size(), 56u + 2 * factorial(5));
   std::string Bad = tempPath("bad.scgtbl");
 
   // Shorter than the header.
@@ -536,6 +592,28 @@ TEST(TableStoreTest, RejectsCorruptFiles) {
     expectLoadFails(Bad, "version");
   }
 
+  // A version-1 file (distance row only) predates the first-hop row.
+  {
+    std::vector<char> V1(Bytes.begin(), Bytes.end() - factorial(5));
+    V1[12] = 1;
+    writeAll(Bad, V1, V1.size());
+    expectLoadFails(Bad, "unsupported format version 1");
+  }
+
+  // A first-hop byte naming no generator, behind a valid checksum: star(5)
+  // has degree 4, so 4 is out of range (0xFF is "no hop" and loads).
+  {
+    std::vector<char> BadHop = Bytes;
+    BadHop[56 + factorial(5) + 7] = 4;
+    resealChecksum(BadHop);
+    writeAll(Bad, BadHop, BadHop.size());
+    expectLoadFails(Bad, "names no generator");
+    BadHop[56 + factorial(5) + 7] = char(TableNoHop);
+    resealChecksum(BadHop);
+    writeAll(Bad, BadHop, BadHop.size());
+    EXPECT_NO_THROW(TableStore::load(Bad));
+  }
+
   // Header k / node-count disagreement.
   {
     std::vector<char> Mismatched = Bytes;
@@ -563,6 +641,236 @@ TEST(TableStoreTest, CoversChecksKindAndParameters) {
 }
 
 //===----------------------------------------------------------------------===//
+// The first-hop row: the generator greedy distance descent picks, per rank.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The per-hop scan table routing ran before the first-hop row existed,
+/// kept as the oracle: the lowest g with Row[g^-1 o R] == Row[R] - 1, or
+/// TableNoHop at the identity, at a 0 or unreachable entry, or where no
+/// neighbour is one step closer.
+uint8_t scanFirstHop(const SuperCayleyGraph &Net,
+                     const std::vector<uint8_t> &Row, uint64_t Rank) {
+  const uint8_t D = Row[Rank];
+  if (Rank == 0 || D == 0 || D == TableUnreachable)
+    return TableNoHop;
+  Permutation R = unrankPermutation(Rank, Net.numSymbols());
+  for (GenIndex G = 0; G != Net.degree(); ++G)
+    if (Row[rankPermutation(Net.generators()[G].Sigma.inverse().compose(R))] ==
+        D - 1)
+      return uint8_t(G);
+  return TableNoHop;
+}
+
+/// Greedy distance descent from \p Rank down \p Row, one scan per hop:
+/// the old table router. Empty when the walk strands.
+std::vector<GenIndex> descend(const SuperCayleyGraph &Net,
+                              const std::vector<uint8_t> &Row, uint64_t Rank) {
+  std::vector<GenIndex> Hops;
+  if (Row[Rank] == TableUnreachable)
+    return Hops;
+  Permutation R = unrankPermutation(Rank, Net.numSymbols());
+  while (!R.isIdentity()) {
+    uint8_t G = scanFirstHop(Net, Row, rankPermutation(R));
+    if (G == TableNoHop)
+      return {};
+    Hops.push_back(G);
+    R = Net.generators()[G].Sigma.inverse().compose(R);
+  }
+  return Hops;
+}
+
+std::vector<uint8_t> distanceRow(const TableStore &T) {
+  std::vector<uint8_t> Row(T.numNodes());
+  for (uint64_t R = 0; R != T.numNodes(); ++R)
+    Row[R] = T.distanceByRank(R);
+  return Row;
+}
+
+/// A table over an external distance row (a faulted graph's, say) with the
+/// first-hop row the scan oracle derives from it.
+std::shared_ptr<const TableStore> tableFromRow(const SuperCayleyGraph &Net,
+                                               std::vector<uint8_t> Row) {
+  std::vector<uint8_t> Hop(Row.size());
+  for (uint64_t R = 0; R != Row.size(); ++R)
+    Hop[R] = scanFirstHop(Net, Row, R);
+  return std::make_shared<const TableStore>(
+      TableStore::fromRows(Net, std::move(Row), std::move(Hop)));
+}
+
+/// Holds \p T's first-hop row to the scan oracle over its distance row, and
+/// every table route to the descent oracle: the chase must pick the same
+/// hops, and where descent strands the reply is the closed-form route.
+void expectHopRowMatchesDescent(const SuperCayleyGraph &Net,
+                                std::shared_ptr<const TableStore> T) {
+  const std::vector<uint8_t> Row = distanceRow(*T);
+  QueryEngine Engine(Net);
+  Engine.attachTable(T);
+  const Permutation Id = Permutation::identity(Net.numSymbols());
+  for (uint64_t R = 0; R != T->numNodes(); ++R) {
+    ASSERT_EQ(T->firstHopByRank(R), scanFirstHop(Net, Row, R))
+        << Net.name() << " rank " << R;
+    if (R == 0)
+      continue;
+    const Permutation Dst = unrankPermutation(R, Net.numSymbols());
+    std::vector<GenIndex> Want = descend(Net, Row, R);
+    if (Want.empty() && !QueryEngine::supportsTableFree(Net)) {
+      EXPECT_THROW(Engine.route(Id, Dst), std::invalid_argument);
+      continue;
+    }
+    RouteReply Got = Engine.route(Id, Dst);
+    if (Want.empty()) {
+      // The closed-form route, flagged FromTable only if its length
+      // happens to equal the table distance.
+      ASSERT_EQ(Got.Hops, QueryEngine(Net).route(Id, Dst).Hops)
+          << Net.name() << " rank " << R;
+      EXPECT_EQ(Got.FromTable, Got.length() == Row[R]);
+    } else {
+      ASSERT_EQ(Got.Hops, Want) << Net.name() << " rank " << R;
+      EXPECT_TRUE(Got.FromTable && Got.Exact);
+    }
+  }
+}
+
+std::vector<SuperCayleyGraph> hopRowFamilies() {
+  std::vector<SuperCayleyGraph> Nets;
+  Nets.push_back(SuperCayleyGraph::star(5));
+  Nets.push_back(SuperCayleyGraph::bubbleSort(5));
+  Nets.push_back(SuperCayleyGraph::transpositionNetwork(5));
+  Nets.push_back(SuperCayleyGraph::rotator(5));
+  Nets.push_back(SuperCayleyGraph::insertionSelection(5));
+  Nets.push_back(
+      SuperCayleyGraph::transpositionTree(5, {{1, 2}, {2, 3}, {2, 4}, {4, 5}}));
+  for (NetworkKind Kind :
+       {NetworkKind::MacroStar, NetworkKind::RotationStar,
+        NetworkKind::CompleteRotationStar, NetworkKind::MacroRotator,
+        NetworkKind::RotationRotator, NetworkKind::CompleteRotationRotator,
+        NetworkKind::MacroIS, NetworkKind::RotationIS,
+        NetworkKind::CompleteRotationIS})
+    Nets.push_back(SuperCayleyGraph::create(Kind, 2, 2));
+  // k = 7, directed families included.
+  Nets.push_back(SuperCayleyGraph::star(7));
+  Nets.push_back(SuperCayleyGraph::rotator(7));
+  Nets.push_back(SuperCayleyGraph::create(NetworkKind::MacroRotator, 2, 3));
+  Nets.push_back(SuperCayleyGraph::create(NetworkKind::RotationRotator, 3, 2));
+  return Nets;
+}
+
+} // namespace
+
+TEST(TableStoreTest, FirstHopRowMatchesGreedyDescentOnEveryFamily) {
+  unsigned Stranded = 0;
+  for (const SuperCayleyGraph &Net : hopRowFamilies()) {
+    SCOPED_TRACE(Net.name());
+    auto Built = std::make_shared<const TableStore>(TableStore::build(Net));
+    ASSERT_EQ(Built->degree(), Net.degree());
+    // The distance row equals a plain BFS row over the Csr.
+    EXPECT_EQ(distanceRow(*Built),
+              msBfsDistanceRow(ExplicitScg(Net).toCsr(), /*Source=*/0));
+    expectHopRowMatchesDescent(Net, Built);
+
+    // A faulted row: a knocked-out band, as a fault sweep's row would
+    // have, strands some descents midway; those ranks get TableNoHop and
+    // their routes fall back to the closed form.
+    if (Net.numSymbols() != 5)
+      continue;
+    std::vector<uint8_t> Row = distanceRow(*Built);
+    for (uint64_t R = 40; R != 60; ++R)
+      Row[R] = TableUnreachable;
+    auto Faulted = tableFromRow(Net, Row);
+    expectHopRowMatchesDescent(Net, Faulted);
+    for (uint64_t R = 1; R != Row.size(); ++R)
+      Stranded += Row[R] != TableUnreachable &&
+                  Faulted->firstHopByRank(R) == TableNoHop;
+  }
+  EXPECT_GT(Stranded, 0u);
+}
+
+TEST(TableStoreTest, FromRowsRejectsMalformedRows) {
+  SuperCayleyGraph Net = SuperCayleyGraph::star(4); // 24 nodes, degree 3.
+  auto Make = [&](std::vector<uint8_t> Dist, std::vector<uint8_t> Hop) {
+    return TableStore::fromRows(Net, std::move(Dist), std::move(Hop));
+  };
+  const std::vector<uint8_t> NoHops(24, TableNoHop);
+  EXPECT_THROW(Make(std::vector<uint8_t>(23, 0), NoHops),
+               std::invalid_argument);
+  EXPECT_THROW(Make(std::vector<uint8_t>(24, 0), std::vector<uint8_t>(25, 0)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Make(std::vector<uint8_t>(24, 0), NoHops));
+  // The identity sits at distance 0 from itself.
+  std::vector<uint8_t> Dist(24, 1);
+  EXPECT_THROW(Make(Dist, NoHops), std::invalid_argument);
+  Dist[0] = 0;
+  EXPECT_NO_THROW(Make(Dist, NoHops));
+  // A hop byte names one of the three generators, or none.
+  std::vector<uint8_t> Hop = NoHops;
+  Hop[5] = 2;
+  EXPECT_EQ(Make(Dist, Hop).firstHopByRank(5), 2u);
+  Hop[5] = 3;
+  EXPECT_THROW(Make(Dist, Hop), std::invalid_argument);
+}
+
+//===----------------------------------------------------------------------===//
+// Inputs the engine cannot serve throw instead of asserting.
+//===----------------------------------------------------------------------===//
+
+TEST(QueryEngineInputTest, RejectsMoreThanSixteenSymbols) {
+  EXPECT_THROW(QueryEngine(SuperCayleyGraph::star(17)), std::invalid_argument);
+  EXPECT_NO_THROW(QueryEngine(SuperCayleyGraph::star(16)));
+}
+
+TEST(QueryEngineInputTest, RejectsLabelsOfTheWrongSize) {
+  QueryEngine Engine(SuperCayleyGraph::star(5));
+  const Permutation Five = Permutation::identity(5);
+  const Permutation Six = Permutation::identity(6);
+  EXPECT_THROW(Engine.distance(Five, Six), std::invalid_argument);
+  EXPECT_THROW(Engine.route(Six, Five), std::invalid_argument);
+  std::vector<PairQuery> Batch(100, PairQuery{Five, Five});
+  Batch[57].Dst = Six;
+  EXPECT_THROW(Engine.distanceBatch(Batch), std::invalid_argument);
+  EXPECT_THROW(Engine.routeBatch(Batch), std::invalid_argument);
+  std::vector<Permutation> Rels(100, Five);
+  Rels[3] = Six;
+  EXPECT_THROW(Engine.routeBatchRelative(Rels), std::invalid_argument);
+}
+
+TEST(QueryEngineInputTest, RejectsATableForAnotherNetwork) {
+  QueryEngine Engine(SuperCayleyGraph::star(5));
+  EXPECT_THROW(Engine.attachTable(std::make_shared<TableStore>(
+                   TableStore::build(SuperCayleyGraph::star(4)))),
+               std::invalid_argument);
+  EXPECT_THROW(Engine.attachTable(std::make_shared<TableStore>(
+                   TableStore::build(SuperCayleyGraph::bubbleSort(5)))),
+               std::invalid_argument);
+  EXPECT_THROW(Engine.attachTable(nullptr), std::invalid_argument);
+  EXPECT_FALSE(Engine.tableBacked());
+}
+
+TEST(QueryEngineInputTest, TableOnlyFamilyNeedsATable) {
+  SuperCayleyGraph Net = SuperCayleyGraph::create(NetworkKind::MacroRotator,
+                                                  2, 2);
+  QueryEngine Engine(Net);
+  const Permutation Id = Permutation::identity(5);
+  const Permutation Far = unrankPermutation(77, 5);
+  EXPECT_THROW(Engine.distance(Id, Far), std::invalid_argument);
+  EXPECT_THROW(Engine.route(Id, Far), std::invalid_argument);
+  std::vector<PairQuery> Batch(10, PairQuery{Id, Far});
+  EXPECT_THROW(Engine.distanceBatch(Batch), std::invalid_argument);
+  EXPECT_THROW(Engine.routeBatch(Batch), std::invalid_argument);
+  // The identity needs no router at all.
+  EXPECT_EQ(Engine.distance(Far, Far).Distance, 0u);
+
+  // A faulted table that leaves the destination unreachable cannot route
+  // a table-only family either.
+  std::vector<uint8_t> Row = distanceRow(TableStore::build(Net));
+  Row[77] = TableUnreachable;
+  Engine.attachTable(tableFromRow(Net, std::move(Row)));
+  EXPECT_EQ(Engine.distance(Id, Far).Distance, UnreachableDistance);
+  EXPECT_THROW(Engine.route(Id, Far), std::invalid_argument);
+}
+
+//===----------------------------------------------------------------------===//
 // Faulted tables: unreachable lanes serve UnreachableDistance, routes fall
 // back to the closed-form router.
 //===----------------------------------------------------------------------===//
@@ -578,8 +886,7 @@ TEST(QueryEngineTest, FaultedTableFallsBackToTableFreeRoutes) {
     Row[R] = TableUnreachable;
 
   QueryEngine Engine(Net);
-  Engine.attachTable(
-      std::make_shared<TableStore>(TableStore::fromRow(Net, std::move(Row))));
+  Engine.attachTable(tableFromRow(Net, std::move(Row)));
   Permutation Id = Permutation::identity(5);
 
   Permutation Dead = unrankPermutation(45, 5);

@@ -1,4 +1,4 @@
-//===- tests/ReferenceMetrics.h - Scalar all-pairs oracle ------*- C++ -*-===//
+//===- tests/ReferenceMetrics.h - Scalar distance oracles ------*- C++ -*-===//
 //
 // Part of the super-cayley-graphs project, under the MIT license.
 //
@@ -11,12 +11,19 @@
 /// tests and the bench_network_properties / bench_degree_diameter smoke
 /// gates hold allPairsStats and msAllPairsStats to it byte for byte.
 ///
+/// Also the plain single-source byte row over a Csr, the oracle for the
+/// distance row TableStore::build fills in its own BFS.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCG_TESTS_REFERENCEMETRICS_H
 #define SCG_TESTS_REFERENCEMETRICS_H
 
+#include "graph/Csr.h"
 #include "graph/Metrics.h"
+
+#include <cstdint>
+#include <vector>
 
 namespace scg {
 
@@ -25,6 +32,17 @@ namespace scg {
 /// integer AND / max / sum, divided once at the end). For a disconnected
 /// graph, returns Connected=false with zeroed Diameter/AverageDistance.
 DistanceStats scalarAllPairsStats(const Graph &G);
+
+/// Sentinel byte for "no path" in compact one-byte distance rows.
+constexpr uint8_t MsBfsUnreachableByte = 0xFF;
+
+/// Compact single-source distance row: entry v is d(\p Source, v) as one
+/// byte, MsBfsUnreachableByte where no path exists; byte-equal to
+/// bfs(G, Source).Distance wherever that is finite. A plain flat-queue BFS
+/// with the row as its visited mark. Throws std::invalid_argument when
+/// \p Source is not a node of \p G, and std::length_error when a finite
+/// distance reaches the sentinel.
+std::vector<uint8_t> msBfsDistanceRow(const Csr &G, NodeId Source);
 
 } // namespace scg
 

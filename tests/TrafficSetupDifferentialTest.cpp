@@ -90,9 +90,10 @@ TEST(TrafficSetupDifferential, BatchedMatchesLegacyAcrossFamiliesModels) {
       // node (Cayley symmetry), at most one per offered message.
       EXPECT_LE(A.DistinctLabels, uint64_t(Net.numNodes()));
       EXPECT_LE(A.DistinctLabels, A.Offered);
-      if (A.DistinctLabels)
+      if (A.DistinctLabels) {
         EXPECT_DOUBLE_EQ(A.DedupFactor,
                          double(A.Offered) / double(A.DistinctLabels));
+      }
     }
   }
 }

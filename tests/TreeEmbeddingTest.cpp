@@ -60,6 +60,7 @@ TEST(TreeEmbedding, RootSitsAtIdentity) {
 TEST(TreeEmbedding, BudgetExhaustionReportsSteps) {
   ExplicitScg Star(SuperCayleyGraph::star(5));
   TreeEmbeddingResult R = embedTreeIntoStar(Star, 5, 1, /*StepBudget=*/50);
-  if (!R.Found)
+  if (!R.Found) {
     EXPECT_GE(R.StepsUsed, 50u);
+  }
 }
